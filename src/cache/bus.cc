@@ -5,15 +5,7 @@
 namespace stm
 {
 
-Bus::Bus(const CacheGeometry &geometry)
-    : geometry_(geometry), stats_("bus")
-{
-    loadHits_ = &stats_.counter("load_hits");
-    busReads_ = &stats_.counter("bus_reads");
-    storeHits_ = &stats_.counter("store_hits");
-    busUpgrades_ = &stats_.counter("bus_upgrades");
-    busReadExclusives_ = &stats_.counter("bus_read_exclusives");
-}
+Bus::Bus(const CacheGeometry &geometry) : geometry_(geometry) {}
 
 L1Cache &
 Bus::addCore(std::uint32_t core_id)
@@ -59,7 +51,7 @@ void
 Bus::accessMiss(L1Cache &requester, Addr block)
 {
     // Load miss: BusRd. Owners downgrade to Shared.
-    ++*busReads_;
+    ++busReads_;
     std::uint32_t core_id = requester.coreId();
     for (auto &c : caches_) {
         if (c->coreId() != core_id)
@@ -75,7 +67,7 @@ Bus::storeUpgrade(L1Cache &requester, L1Cache::Line *line, Addr block)
 {
     // BusUpgr: invalidate the other copies. The Line pointer stays
     // valid across the snoops — they only touch *other* caches.
-    ++*busUpgrades_;
+    ++busUpgrades_;
     std::uint32_t core_id = requester.coreId();
     for (auto &c : caches_) {
         if (c->coreId() != core_id)
@@ -89,7 +81,7 @@ void
 Bus::storeMiss(L1Cache &requester, Addr block)
 {
     // BusRdX: invalidate everywhere, then fill Modified.
-    ++*busReadExclusives_;
+    ++busReadExclusives_;
     std::uint32_t core_id = requester.coreId();
     for (auto &c : caches_) {
         if (c->coreId() != core_id)
@@ -98,11 +90,16 @@ Bus::storeMiss(L1Cache &requester, Addr block)
     requester.fill(block, MesiState::Modified);
 }
 
-void
-Bus::reset()
+StatGroup
+Bus::stats() const
 {
-    for (auto &c : caches_)
-        c->reset();
+    StatGroup group("bus");
+    group.counter("load_hits") += loadHits_.value();
+    group.counter("bus_reads") += busReads_.value();
+    group.counter("store_hits") += storeHits_.value();
+    group.counter("bus_upgrades") += busUpgrades_.value();
+    group.counter("bus_read_exclusives") += busReadExclusives_.value();
+    return group;
 }
 
 Bus::Snapshot
@@ -112,11 +109,11 @@ Bus::snapshotState() const
     snap.caches.reserve(caches_.size());
     for (const auto &c : caches_)
         snap.caches.push_back(c->snapshotState());
-    snap.loadHits = loadHits_->value();
-    snap.busReads = busReads_->value();
-    snap.storeHits = storeHits_->value();
-    snap.busUpgrades = busUpgrades_->value();
-    snap.busReadExclusives = busReadExclusives_->value();
+    snap.loadHits = loadHits_.value();
+    snap.busReads = busReads_.value();
+    snap.storeHits = storeHits_.value();
+    snap.busUpgrades = busUpgrades_.value();
+    snap.busReadExclusives = busReadExclusives_.value();
     return snap;
 }
 
@@ -128,9 +125,9 @@ Bus::restoreState(const Snapshot &snap)
               snap.caches.size(), caches_.size());
     for (std::size_t i = 0; i < caches_.size(); ++i)
         caches_[i]->restoreState(snap.caches[i]);
-    auto restoreCounter = [](Counter *c, std::uint64_t v) {
-        c->reset();
-        *c += v;
+    auto restoreCounter = [](Counter &c, std::uint64_t v) {
+        c.reset();
+        c += v;
     };
     restoreCounter(loadHits_, snap.loadHits);
     restoreCounter(busReads_, snap.busReads);

@@ -83,7 +83,7 @@ class Bus
                 // Load hit: state unchanged.
                 MesiState observed = line->state;
                 line->lastUse = ++requester.tick_;
-                ++*loadHits_;
+                ++loadHits_;
                 return observed;
             }
             accessMiss(requester, block);
@@ -96,13 +96,13 @@ class Bus
             switch (observed) {
               case MesiState::Modified:
                 line->lastUse = ++requester.tick_;
-                ++*storeHits_;
+                ++storeHits_;
                 break;
               case MesiState::Exclusive:
                 // Silent upgrade.
                 line->state = MesiState::Modified;
                 line->lastUse = ++requester.tick_;
-                ++*storeHits_;
+                ++storeHits_;
                 break;
               default:
                 storeUpgrade(requester, line, block);
@@ -117,9 +117,6 @@ class Bus
     /** True if any *other* core has the block in a valid state. */
     bool otherSharers(std::uint32_t core_id, Addr block) const;
 
-    /** Drop all cached state on every core. */
-    void reset();
-
     /** Capture every attached cache plus the bus counters. */
     Snapshot snapshotState() const;
     /**
@@ -128,7 +125,12 @@ class Bus
      */
     void restoreState(const Snapshot &snap);
 
-    StatGroup &stats() { return stats_; }
+    /**
+     * Snapshot of the bus event counters as the "bus" group:
+     * load_hits, bus_reads, store_hits, bus_upgrades,
+     * bus_read_exclusives.
+     */
+    StatGroup stats() const;
 
   private:
     /** Load miss: BusRd — snoop-downgrade owners, then fill. */
@@ -141,13 +143,11 @@ class Bus
 
     CacheGeometry geometry_;
     std::vector<std::unique_ptr<L1Cache>> caches_;
-    StatGroup stats_;
-    // Per-access counters resolved once; they live inside stats_.
-    Counter *loadHits_;
-    Counter *busReads_;
-    Counter *storeHits_;
-    Counter *busUpgrades_;
-    Counter *busReadExclusives_;
+    Counter loadHits_;
+    Counter busReads_;
+    Counter storeHits_;
+    Counter busUpgrades_;
+    Counter busReadExclusives_;
 };
 
 } // namespace stm

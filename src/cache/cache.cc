@@ -1,5 +1,9 @@
 #include "cache/cache.hh"
 
+#include <bit>
+#include <string>
+#include <utility>
+
 #include "support/logging.hh"
 
 namespace stm
@@ -23,6 +27,50 @@ log2u32(std::uint32_t v)
     return shift;
 }
 
+/**
+ * A clean cache's buffers: every line default, every MRU hint and
+ * dirty bit zero. Kept per thread so no lock sits on machine boot.
+ */
+struct CacheBuffers
+{
+    std::vector<L1Cache::Line> lines;
+    std::vector<std::uint32_t> mruWay;
+    std::vector<std::uint64_t> dirty;
+};
+
+/**
+ * Buffers of destroyed caches, newest last. When full, the oldest
+ * entry is dropped, so the geometry in current use stays on the list.
+ */
+struct BufferFreeList
+{
+    static constexpr std::size_t kCap = 8;
+    std::vector<CacheBuffers> entries;
+
+    BufferFreeList() { entries.reserve(kCap); }
+    ~BufferFreeList();
+};
+
+// Trivially destructible, so it stays readable while thread-local
+// destructors run: a cache destroyed after its thread's free list
+// (one owned by a static or another thread-local object) just frees
+// its buffers.
+thread_local bool freeListGone = false;
+
+BufferFreeList::~BufferFreeList()
+{
+    freeListGone = true;
+}
+
+BufferFreeList *
+freeList()
+{
+    if (freeListGone)
+        return nullptr;
+    thread_local BufferFreeList list;
+    return &list;
+}
+
 } // namespace
 
 L1Cache::L1Cache(std::uint32_t core_id, const CacheGeometry &geometry)
@@ -32,8 +80,7 @@ L1Cache::L1Cache(std::uint32_t core_id, const CacheGeometry &geometry)
       blockShift_(0),
       setMask_(0),
       setsArePow2_(false),
-      tick_(0),
-      stats_("l1d" + std::to_string(core_id))
+      tick_(0)
 {
     if (!isPowerOfTwo(geometry.blockBytes) ||
         !isPowerOfTwo(geometry.sizeBytes) || geometry.assoc == 0) {
@@ -48,12 +95,36 @@ L1Cache::L1Cache(std::uint32_t core_id, const CacheGeometry &geometry)
     blockShift_ = log2u32(geometry.blockBytes);
     setsArePow2_ = isPowerOfTwo(numSets_);
     setMask_ = setsArePow2_ ? numSets_ - 1 : 0;
+    if (BufferFreeList *list = freeList()) {
+        auto &entries = list->entries;
+        for (std::size_t i = entries.size(); i-- > 0;) {
+            if (entries[i].lines.size() == blocks &&
+                entries[i].mruWay.size() == numSets_) {
+                lines_ = std::move(entries[i].lines);
+                mruWay_ = std::move(entries[i].mruWay);
+                dirty_ = std::move(entries[i].dirty);
+                entries.erase(entries.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+                return;
+            }
+        }
+    }
     lines_.resize(blocks);
     mruWay_.assign(numSets_, 0);
-    fills_ = &stats_.counter("fills");
-    evictions_ = &stats_.counter("evictions");
-    writebacks_ = &stats_.counter("writebacks");
-    invalidationsReceived_ = &stats_.counter("invalidations_received");
+    dirty_.assign((numSets_ + 63) / 64, 0);
+}
+
+L1Cache::~L1Cache()
+{
+    BufferFreeList *list = freeList();
+    if (!list)
+        return;
+    reset();
+    if (list->entries.size() == BufferFreeList::kCap)
+        list->entries.erase(list->entries.begin());
+    list->entries.push_back(CacheBuffers{std::move(lines_),
+                                         std::move(mruWay_),
+                                         std::move(dirty_)});
 }
 
 L1Cache::Line *
@@ -103,17 +174,18 @@ L1Cache::fill(Addr block, MesiState state)
     }
     bool writeback = false;
     if (victim->state != MesiState::Invalid) {
-        ++*evictions_;
+        ++evictions_;
         if (victim->state == MesiState::Modified) {
             writeback = true;
-            ++*writebacks_;
+            ++writebacks_;
         }
     }
     victim->tag = block;
     victim->state = state;
     victim->lastUse = ++tick_;
     mruWay_[set] = victimWay;
-    ++*fills_;
+    markDirty(set);
+    ++fills_;
     return writeback;
 }
 
@@ -141,7 +213,7 @@ L1Cache::snoopRead(Addr block)
     if (!line)
         return;
     if (line->state == MesiState::Modified) {
-        ++*writebacks_;
+        ++writebacks_;
         line->state = MesiState::Shared;
     } else if (line->state == MesiState::Exclusive) {
         line->state = MesiState::Shared;
@@ -155,18 +227,39 @@ L1Cache::snoopWrite(Addr block)
     if (!line)
         return;
     if (line->state == MesiState::Modified)
-        ++*writebacks_;
+        ++writebacks_;
     line->state = MesiState::Invalid;
-    ++*invalidationsReceived_;
+    ++invalidationsReceived_;
 }
 
 void
 L1Cache::reset()
 {
-    for (auto &line : lines_)
-        line = Line{};
-    mruWay_.assign(numSets_, 0);
+    const std::size_t assoc = geometry_.assoc;
+    for (std::size_t w = 0; w < dirty_.size(); ++w) {
+        for (std::uint64_t bits = dirty_[w]; bits != 0;
+             bits &= bits - 1) {
+            std::size_t set = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+            for (std::size_t i = set * assoc; i < (set + 1) * assoc; ++i)
+                lines_[i] = Line{};
+            mruWay_[set] = 0;
+        }
+        dirty_[w] = 0;
+    }
     tick_ = 0;
+}
+
+StatGroup
+L1Cache::stats() const
+{
+    StatGroup group("l1d" + std::to_string(coreId_));
+    group.counter("fills") += fills_.value();
+    group.counter("evictions") += evictions_.value();
+    group.counter("writebacks") += writebacks_.value();
+    group.counter("invalidations_received") +=
+        invalidationsReceived_.value();
+    return group;
 }
 
 L1Cache::Snapshot
@@ -178,10 +271,10 @@ L1Cache::snapshotState() const
     snap.tick = tick_;
     snap.lookups = lookups_;
     snap.mruHits = mruHits_;
-    snap.fills = fills_->value();
-    snap.evictions = evictions_->value();
-    snap.writebacks = writebacks_->value();
-    snap.invalidationsReceived = invalidationsReceived_->value();
+    snap.fills = fills_.value();
+    snap.evictions = evictions_.value();
+    snap.writebacks = writebacks_.value();
+    snap.invalidationsReceived = invalidationsReceived_.value();
     return snap;
 }
 
@@ -197,12 +290,17 @@ L1Cache::restoreState(const Snapshot &snap)
     }
     lines_ = snap.lines;
     mruWay_ = snap.mruWay;
+    // Every set may now hold state; the tail bits past numSets_ stay
+    // clear so reset() never indexes past the last set.
+    dirty_.assign(dirty_.size(), ~std::uint64_t{0});
+    if (numSets_ % 64 != 0)
+        dirty_.back() = (std::uint64_t{1} << (numSets_ % 64)) - 1;
     tick_ = snap.tick;
     lookups_ = snap.lookups;
     mruHits_ = snap.mruHits;
-    auto restoreCounter = [](Counter *c, std::uint64_t v) {
-        c->reset();
-        *c += v;
+    auto restoreCounter = [](Counter &c, std::uint64_t v) {
+        c.reset();
+        c += v;
     };
     restoreCounter(fills_, snap.fills);
     restoreCounter(evictions_, snap.evictions);

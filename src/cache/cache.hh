@@ -12,10 +12,18 @@
  * geometry checks guarantee power-of-two block size, and set counts
  * are power-of-two for power-of-two associativities); lookups probe a
  * per-set MRU-way hint first, so the common repeated-block access
- * costs one tag compare. The per-event stat counters are resolved to
- * `Counter *` once at construction instead of by string on every
- * access; the counters stay inside the StatGroup so `stats().value()`
- * keeps reading live values.
+ * costs one tag compare. The event counters are plain `Counter`
+ * members bumped directly; they do not live inside a StatGroup, and
+ * `stats()` returns a snapshot StatGroup built from them on demand.
+ *
+ * Setup/teardown notes: a simulated run builds its caches at boot and
+ * drops them at the end, and most runs touch a handful of the 512
+ * sets. fill() (the miss path) marks its set in a dirty bitmap, and
+ * restoreState() marks every set. reset() and the destructor clear
+ * only the dirty sets; the destructor then hands the line, MRU-hint
+ * and bitmap buffers to a small per-thread free list, and the next
+ * cache of the same geometry on that thread takes them instead of
+ * allocating and zero-filling fresh ones.
  */
 
 #ifndef STM_CACHE_CACHE_HH
@@ -81,6 +89,10 @@ class L1Cache
     };
 
     L1Cache(std::uint32_t core_id, const CacheGeometry &geometry);
+    ~L1Cache();
+
+    L1Cache(const L1Cache &) = delete;
+    L1Cache &operator=(const L1Cache &) = delete;
 
     /** Block (line) address of @p addr. */
     Addr blockOf(Addr addr) const { return addr >> blockShift_; }
@@ -107,7 +119,12 @@ class L1Cache
     /** Snoop: another core writes the block (any -> I). */
     void snoopWrite(Addr block);
 
-    /** Drop every line (used between simulated runs). */
+    /**
+     * Drop every line: clear the sets dirtied since construction or
+     * the last reset, and restart the LRU clock. Event counters keep
+     * their values. The destructor runs this before recycling the
+     * storage.
+     */
     void reset();
 
     /** Capture the full mutable state (geometry is construction-fixed). */
@@ -117,8 +134,11 @@ class L1Cache
 
     std::uint32_t coreId() const { return coreId_; }
     const CacheGeometry &geometry() const { return geometry_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    /**
+     * Snapshot of the event counters as the "l1d<core>" group:
+     * fills, evictions, writebacks, invalidations_received.
+     */
+    StatGroup stats() const;
 
     /** Tag lookups performed (throughput instrumentation). */
     std::uint64_t lookups() const { return lookups_; }
@@ -167,23 +187,31 @@ class L1Cache
     Line *findLineSlow(Line *base, std::uint32_t set,
                        std::uint32_t hint, Addr block);
 
+    /** Mark @p set as holding state reset() must clear. */
+    void
+    markDirty(std::uint32_t set)
+    {
+        dirty_[set >> 6] |= std::uint64_t{1} << (set & 63);
+    }
+
     std::uint32_t coreId_;
     CacheGeometry geometry_;
     std::uint32_t numSets_;
     std::uint32_t blockShift_; //!< log2(blockBytes)
     std::uint32_t setMask_;    //!< numSets_ - 1 when power of two
     bool setsArePow2_;
+    // Recycled buffers: a set whose dirty_ bit is clear holds default
+    // Lines and a zero MRU hint.
     std::vector<Line> lines_;     //!< numSets_ * assoc, set-major
     std::vector<std::uint32_t> mruWay_; //!< per-set MRU-way hint
+    std::vector<std::uint64_t> dirty_;  //!< one bit per set
     std::uint64_t tick_;
     std::uint64_t lookups_ = 0;
     std::uint64_t mruHits_ = 0;
-    StatGroup stats_;
-    // Event counters resolved once; they live inside stats_.
-    Counter *fills_;
-    Counter *evictions_;
-    Counter *writebacks_;
-    Counter *invalidationsReceived_;
+    Counter fills_;
+    Counter evictions_;
+    Counter writebacks_;
+    Counter invalidationsReceived_;
 };
 
 } // namespace stm

@@ -66,7 +66,9 @@ class RingBuffer
         if (slots_.empty())
             return;
         slots_[head_] = value;
-        head_ = (head_ + 1) % slots_.size();
+        // A compare, not a division: this runs for every LBR/LCR record.
+        if (++head_ == slots_.size())
+            head_ = 0;
         if (size_ < slots_.size())
             ++size_;
     }

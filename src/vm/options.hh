@@ -68,6 +68,14 @@ enum class DispatchMode : std::uint8_t {
     Switch,   //!< force the portable switch loop
 };
 
+/**
+ * LBR/LCR record depths the command-line tools accept. Real LBRs hold
+ * 4 to 32 entries and the ablations sweep 4 to 32; 0 would record
+ * nothing, and a depth past 64 models no hardware.
+ */
+constexpr std::size_t kMinRecordEntries = 1;
+constexpr std::size_t kMaxRecordEntries = 64;
+
 /** Full machine configuration for one run. */
 struct MachineOptions
 {

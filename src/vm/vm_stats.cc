@@ -49,41 +49,72 @@ resetVmStats()
     vmStats().reset();
 }
 
+namespace
+{
+
+/**
+ * recordVmRun's counters and gauges, resolved once on the first run
+ * (`std::map` nodes are address-stable, and reset() keeps the keys).
+ */
+struct VmRunStats
+{
+    Counter &runs, &steps, &wallMicros, &memAccesses, &memFastHits,
+        &cacheLookups, &cacheMruHits, &fusedPairs, &irqDelivered,
+        &irqHandlerSteps;
+    Gauge &stepsPerSec, &mruHitRate, &memFastRate, &superHitRate;
+
+    explicit VmRunStats(StatGroup &g)
+        : runs(g.counter("runs")),
+          steps(g.counter("steps")),
+          wallMicros(g.counter("wall_micros")),
+          memAccesses(g.counter("mem_accesses")),
+          memFastHits(g.counter("mem_fast_hits")),
+          cacheLookups(g.counter("cache_lookups")),
+          cacheMruHits(g.counter("cache_mru_hits")),
+          fusedPairs(g.counter("fused_pairs")),
+          irqDelivered(g.counter("irq_delivered")),
+          irqHandlerSteps(g.counter("irq_handler_steps")),
+          stepsPerSec(g.gauge("steps_per_sec")),
+          mruHitRate(g.gauge("mru_hit_rate")),
+          memFastRate(g.gauge("mem_fast_rate")),
+          superHitRate(g.gauge("super_hit_rate"))
+    {
+    }
+};
+
+} // namespace
+
 void
 recordVmRun(const VmRunSample &sample)
 {
     std::lock_guard<std::mutex> lock(vmStatsMutex());
-    StatGroup &stats = vmStats();
-    ++stats.counter("runs");
-    stats.counter("steps") += sample.steps;
-    stats.counter("wall_micros") += sample.wallMicros;
-    stats.counter("mem_accesses") += sample.memAccesses;
-    stats.counter("mem_fast_hits") += sample.memFastHits;
-    stats.counter("cache_lookups") += sample.cacheLookups;
-    stats.counter("cache_mru_hits") += sample.cacheMruHits;
-    stats.counter("fused_pairs") += sample.fusedPairs;
-    stats.counter("irq_delivered") += sample.irqDelivered;
-    stats.counter("irq_handler_steps") += sample.irqHandlerSteps;
+    // Created under the lock on the first run, so vmStats() holds no
+    // keys before any run has finished.
+    static VmRunStats s(vmStats());
+    ++s.runs;
+    s.steps += sample.steps;
+    s.wallMicros += sample.wallMicros;
+    s.memAccesses += sample.memAccesses;
+    s.memFastHits += sample.memFastHits;
+    s.cacheLookups += sample.cacheLookups;
+    s.cacheMruHits += sample.cacheMruHits;
+    s.fusedPairs += sample.fusedPairs;
+    s.irqDelivered += sample.irqDelivered;
+    s.irqHandlerSteps += sample.irqHandlerSteps;
 
     auto rate = [](std::uint64_t num, std::uint64_t den) {
         return den == 0 ? 0.0
                         : static_cast<double>(num) /
                               static_cast<double>(den);
     };
-    std::uint64_t wall = stats.value("wall_micros");
-    stats.gauge("steps_per_sec")
-        .set(wall == 0 ? 0.0
-                       : static_cast<double>(stats.value("steps")) *
-                             1e6 / static_cast<double>(wall));
-    stats.gauge("mru_hit_rate")
-        .set(rate(stats.value("cache_mru_hits"),
-                  stats.value("cache_lookups")));
-    stats.gauge("mem_fast_rate")
-        .set(rate(stats.value("mem_fast_hits"),
-                  stats.value("mem_accesses")));
-    stats.gauge("super_hit_rate")
-        .set(rate(2 * stats.value("fused_pairs"),
-                  stats.value("steps")));
+    std::uint64_t wall = s.wallMicros.value();
+    s.stepsPerSec.set(wall == 0
+                          ? 0.0
+                          : static_cast<double>(s.steps.value()) * 1e6 /
+                                static_cast<double>(wall));
+    s.mruHitRate.set(rate(s.cacheMruHits.value(), s.cacheLookups.value()));
+    s.memFastRate.set(rate(s.memFastHits.value(), s.memAccesses.value()));
+    s.superHitRate.set(rate(2 * s.fusedPairs.value(), s.steps.value()));
 }
 
 void

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cache/bus.hh"
 #include "cache/cache.hh"
 #include "cache/mesi.hh"
@@ -154,7 +157,7 @@ TEST(Bus, ResetDropsAllState)
     Bus bus;
     bus.addCore(0);
     bus.access(0, kA, true);
-    bus.reset();
+    bus.cache(0).reset();
     EXPECT_EQ(bus.cache(0).stateOf(kA), MesiState::Invalid);
 }
 
@@ -214,6 +217,124 @@ TEST(L1Cache, EvictingModifiedLineWritesBack)
     // Re-access observes Invalid: "invalid states could be caused by
     // both cache eviction and remote writes" (Section 5.3).
     EXPECT_EQ(bus.access(0, 0x600000, false), MesiState::Invalid);
+}
+
+// ---- reset and recycled storage -------------------------------------------
+
+/** Fill @p n blocks starting at block 0, alternating M and E. */
+void
+fillBlocks(L1Cache &cache, Addr n)
+{
+    for (Addr b = 0; b < n; ++b)
+        cache.fill(b, b % 2 ? MesiState::Modified : MesiState::Exclusive);
+}
+
+/** Every block in [0, n) reads Invalid. */
+void
+expectAllInvalid(const L1Cache &cache, Addr n)
+{
+    const Addr block = cache.geometry().blockBytes;
+    for (Addr b = 0; b < n; ++b)
+        ASSERT_EQ(cache.stateOf(b * block), MesiState::Invalid) << b;
+}
+
+/** lookups(), mruHits() and every stats() counter read 0. */
+void
+expectZeroCounters(const L1Cache &cache)
+{
+    EXPECT_EQ(cache.lookups(), 0u);
+    EXPECT_EQ(cache.mruHits(), 0u);
+    StatGroup stats = cache.stats();
+    for (const char *name : {"fills", "evictions", "writebacks",
+                             "invalidations_received"}) {
+        EXPECT_EQ(stats.value(name), 0u) << name;
+    }
+}
+
+TEST(L1Cache, ResetDropsLinesKeepsCountersAndRestartsLru)
+{
+    CacheGeometry geo;
+    geo.sizeBytes = 256; // 2 sets x 2 ways
+    L1Cache cache(0, geo);
+    fillBlocks(cache, 6); // 4 resident, 2 evictions
+    cache.reset();
+    expectAllInvalid(cache, 6);
+    EXPECT_EQ(cache.stats().value("fills"), 6u);
+    EXPECT_EQ(cache.stats().value("evictions"), 2u);
+    // True LRU from a clean clock: the third block into set 0
+    // evicts the first.
+    cache.fill(0, MesiState::Exclusive);
+    cache.fill(2, MesiState::Exclusive);
+    cache.fill(4, MesiState::Exclusive);
+    EXPECT_EQ(cache.stateOf(0), MesiState::Invalid);
+    EXPECT_EQ(cache.stateOf(2 * 64), MesiState::Exclusive);
+    EXPECT_EQ(cache.stats().value("evictions"), 3u);
+}
+
+TEST(L1Cache, RecycledStorageLeaksNoState)
+{
+    CacheGeometry small;
+    small.sizeBytes = 1024; // 8 sets x 2 ways
+    const Addr kBlocks = 3000; // every set of the default geometry
+    {
+        // Dirty caches of both geometries, one restored from a
+        // snapshot (which marks every set), all destroyed together.
+        L1Cache filled(0, CacheGeometry{});
+        fillBlocks(filled, kBlocks);
+        L1Cache source(1, CacheGeometry{});
+        fillBlocks(source, kBlocks / 2);
+        source.snoopWrite(1);
+        L1Cache restored(2, CacheGeometry{});
+        restored.restoreState(source.snapshotState());
+        ASSERT_NE(restored.stateOf((kBlocks / 2 - 1) * 64),
+                  MesiState::Invalid);
+        L1Cache tinySource(3, small);
+        fillBlocks(tinySource, 40);
+        L1Cache tiny(4, small); // 8 sets: a partial bitmap word
+        tiny.restoreState(tinySource.snapshotState());
+    }
+    for (int round = 0; round < 2; ++round) {
+        // The newest free-list entries are the caches above; both
+        // geometries must come back clean.
+        L1Cache a(0, CacheGeometry{});
+        L1Cache b(1, CacheGeometry{});
+        L1Cache c(2, CacheGeometry{});
+        L1Cache d(3, small);
+        for (const L1Cache *cache : {&a, &b, &c, &d}) {
+            expectZeroCounters(*cache);
+            expectAllInvalid(*cache, kBlocks);
+        }
+        // Dirty them again for the second round.
+        fillBlocks(a, kBlocks);
+        c.restoreState(a.snapshotState());
+        fillBlocks(d, 40);
+    }
+}
+
+TEST(Bus, RecycledCachesReplayIdentically)
+{
+    // The second bus's caches take the first bus's buffers; a random
+    // access sequence must observe and count exactly the same.
+    auto replay = [](std::vector<MesiState> *observed) {
+        Bus bus;
+        for (std::uint32_t c = 0; c < 3; ++c)
+            bus.addCore(c);
+        Pcg32 rng(99);
+        for (int step = 0; step < 5000; ++step) {
+            std::uint32_t core = rng.nextBounded(3);
+            Addr addr = 0x600000 + 64 * Addr{rng.nextBounded(4096)};
+            observed->push_back(bus.access(core, addr, rng.nextBool(0.4)));
+        }
+        std::string dump = bus.stats().toJson();
+        for (std::uint32_t c = 0; c < 3; ++c)
+            dump += bus.cache(c).stats().toJson();
+        return dump;
+    };
+    std::vector<MesiState> first, second;
+    std::string firstStats = replay(&first);
+    std::string secondStats = replay(&second);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(firstStats, secondStats);
 }
 
 /**

@@ -38,6 +38,7 @@
 #include "fleet/fleet_sim.hh"
 #include "support/logging.hh"
 #include "trace_cli.hh"
+#include "vm/options.hh"
 
 using namespace stm;
 
@@ -84,7 +85,8 @@ usage()
         << "  --shards N        collector ingest shards (default 4)\n"
         << "  --profiles N      failure/success reports to aggregate "
            "(default 10)\n"
-        << "  --entries N       LBR/LCR record depth (default 16)\n"
+        << "  --entries N       LBR/LCR record depth, 1..64 "
+           "(default 16)\n"
         << "  --conf1           space-saving LCR configuration\n"
         << "  --ring-slots N    per-shard submission-ring slots, "
            "rounded\n"
@@ -154,6 +156,14 @@ try {
         } else if (arg == "--entries") {
             if (!numeric(&out->entries))
                 return false;
+            // stoull wraps "-1", so the range check catches it too.
+            if (out->entries < kMinRecordEntries ||
+                out->entries > kMaxRecordEntries) {
+                std::cerr << "--entries wants a record depth from "
+                          << kMinRecordEntries << " to "
+                          << kMaxRecordEntries << '\n';
+                return false;
+            }
         } else if (arg == "--conf1") {
             out->conf1 = true;
         } else if (arg == "--capacity" || arg == "--ring-slots") {

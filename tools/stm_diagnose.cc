@@ -20,9 +20,11 @@
  * for the transport-focused front end.
  */
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "baseline/cbi.hh"
@@ -36,6 +38,7 @@
 #include "fleet/fleet_sim.hh"
 #include "support/logging.hh"
 #include "trace_cli.hh"
+#include "vm/options.hh"
 
 using namespace stm;
 
@@ -90,13 +93,15 @@ usage()
            "(default: auto)\n"
         << "  --no-toggling     disable library toggling "
            "(Section 4.3)\n"
-        << "  --entries N       LBR/LCR record depth (default 16)\n"
+        << "  --entries N       LBR/LCR record depth, 1..64 "
+           "(default 16)\n"
         << "  --conf1           use the space-saving LCR "
            "configuration\n"
         << "  --profiles N      failure/success profiles for "
            "LBRA/LCRA (default 10)\n"
         << "  --proactive       proactive success-site scheme\n"
-        << "  --top N           predictors to print (default 5)\n"
+        << "  --top N           predictors to print, at least 1 "
+           "(default 5)\n"
         << "  --jobs N          worker threads for run execution\n"
            "                    (default: STM_JOBS env, else hardware "
            "concurrency;\n"
@@ -138,6 +143,31 @@ usage()
            "                    waiting for a fresh failing seed\n";
 }
 
+/**
+ * Parse @p text as a decimal count in [@p lo, @p hi] into @p out.
+ * Signs, trailing junk and overflow are errors, where std::stoul
+ * would wrap "-1" or ignore the junk.
+ */
+bool
+parseCount(const char *opt, const char *text, std::size_t lo,
+           std::size_t hi, std::size_t *out)
+{
+    const char *end = text + std::strlen(text);
+    std::size_t value = 0;
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+        std::cerr << opt << " wants a whole number from " << lo;
+        if (hi != std::numeric_limits<std::size_t>::max())
+            std::cerr << " to " << hi;
+        else
+            std::cerr << " up";
+        std::cerr << ", got '" << text << "'\n";
+        return false;
+    }
+    *out = value;
+    return true;
+}
+
 bool
 parse(int argc, char **argv, CliOptions *out)
 try {
@@ -159,7 +189,9 @@ try {
             const char *v = next();
             if (!v)
                 return false;
-            out->entries = std::stoul(v);
+            if (!parseCount("--entries", v, kMinRecordEntries,
+                            kMaxRecordEntries, &out->entries))
+                return false;
         } else if (arg == "--conf1") {
             out->conf1 = true;
         } else if (arg == "--profiles") {
@@ -173,7 +205,10 @@ try {
             const char *v = next();
             if (!v)
                 return false;
-            out->top = std::stoul(v);
+            if (!parseCount("--top", v, 1,
+                            std::numeric_limits<std::size_t>::max(),
+                            &out->top))
+                return false;
         } else if (arg == "--jobs") {
             const char *v = next();
             if (!v)
@@ -232,8 +267,8 @@ try {
     }
     return out->list || !out->bugId.empty();
 } catch (const std::exception &) {
-    // Non-numeric value for a numeric option (--entries, --profiles,
-    // --top, --jobs).
+    // Non-numeric value for a numeric option (--profiles, --jobs,
+    // --fleet, the cache budgets).
     std::cerr << "invalid numeric option value\n";
     return false;
 }
