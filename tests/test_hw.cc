@@ -115,6 +115,27 @@ struct FilterCase
     bool suppressed;
 };
 
+/** Static, so the padding bytes gtest prints in the test names are zero. */
+const FilterCase kFilterCases[] = {
+    {msr::kLbrFilterRing0, BranchKind::Conditional, true, true},
+    {msr::kLbrFilterRing0, BranchKind::Conditional, false, false},
+    {msr::kLbrFilterOtherRings, BranchKind::Conditional, false, true},
+    {msr::kLbrFilterConditional, BranchKind::Conditional, false, true},
+    {msr::kLbrFilterConditional, BranchKind::NearRelativeJump, false,
+     false},
+    {msr::kLbrFilterNearRelCall, BranchKind::NearRelativeCall, false,
+     true},
+    {msr::kLbrFilterNearIndCall, BranchKind::NearIndirectCall, false,
+     true},
+    {msr::kLbrFilterNearRet, BranchKind::NearReturn, false, true},
+    {msr::kLbrFilterNearIndJmp, BranchKind::NearIndirectJump, false,
+     true},
+    {msr::kLbrFilterNearRelJmp, BranchKind::NearRelativeJump, false,
+     true},
+    {msr::kLbrFilterFar, BranchKind::FarBranch, false, true},
+    {0, BranchKind::FarBranch, false, false},
+};
+
 class LbrFilterSweep : public ::testing::TestWithParam<FilterCase>
 {
 };
@@ -131,32 +152,8 @@ TEST_P(LbrFilterSweep, MaskBitSuppressesItsClass)
               c.suppressed);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Table1, LbrFilterSweep,
-    ::testing::Values(
-        FilterCase{msr::kLbrFilterRing0, BranchKind::Conditional,
-                   true, true},
-        FilterCase{msr::kLbrFilterRing0, BranchKind::Conditional,
-                   false, false},
-        FilterCase{msr::kLbrFilterOtherRings,
-                   BranchKind::Conditional, false, true},
-        FilterCase{msr::kLbrFilterConditional,
-                   BranchKind::Conditional, false, true},
-        FilterCase{msr::kLbrFilterConditional,
-                   BranchKind::NearRelativeJump, false, false},
-        FilterCase{msr::kLbrFilterNearRelCall,
-                   BranchKind::NearRelativeCall, false, true},
-        FilterCase{msr::kLbrFilterNearIndCall,
-                   BranchKind::NearIndirectCall, false, true},
-        FilterCase{msr::kLbrFilterNearRet, BranchKind::NearReturn,
-                   false, true},
-        FilterCase{msr::kLbrFilterNearIndJmp,
-                   BranchKind::NearIndirectJump, false, true},
-        FilterCase{msr::kLbrFilterNearRelJmp,
-                   BranchKind::NearRelativeJump, false, true},
-        FilterCase{msr::kLbrFilterFar, BranchKind::FarBranch, false,
-                   true},
-        FilterCase{0, BranchKind::FarBranch, false, false}));
+INSTANTIATE_TEST_SUITE_P(Table1, LbrFilterSweep,
+                         ::testing::ValuesIn(kFilterCases));
 
 TEST(Lbr, Table1Encodings)
 {

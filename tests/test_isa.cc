@@ -60,6 +60,27 @@ struct CondCase
     bool expected;
 };
 
+/**
+ * The cases sit in a static table, whose padding bytes are zero.
+ * gtest names each case by the raw bytes of its parameter, so a
+ * stack temporary would put stale stack contents (pointers under
+ * ASLR) into the test name and the name would change run to run.
+ */
+const CondCase kCondCases[] = {
+    {Cond::Eq, 3, 3, true},
+    {Cond::Eq, 3, 4, false},
+    {Cond::Ne, 3, 4, true},
+    {Cond::Ne, -1, -1, false},
+    {Cond::Lt, -2, -1, true},
+    {Cond::Lt, 5, 5, false},
+    {Cond::Le, 5, 5, true},
+    {Cond::Le, 6, 5, false},
+    {Cond::Gt, 6, 5, true},
+    {Cond::Gt, 5, 6, false},
+    {Cond::Ge, 5, 5, true},
+    {Cond::Ge, 4, 5, false},
+};
+
 class CondSweep : public ::testing::TestWithParam<CondCase>
 {
 };
@@ -70,20 +91,8 @@ TEST_P(CondSweep, Evaluates)
     EXPECT_EQ(evalCond(c.cond, c.a, c.b), c.expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllConds, CondSweep,
-    ::testing::Values(CondCase{Cond::Eq, 3, 3, true},
-                      CondCase{Cond::Eq, 3, 4, false},
-                      CondCase{Cond::Ne, 3, 4, true},
-                      CondCase{Cond::Ne, -1, -1, false},
-                      CondCase{Cond::Lt, -2, -1, true},
-                      CondCase{Cond::Lt, 5, 5, false},
-                      CondCase{Cond::Le, 5, 5, true},
-                      CondCase{Cond::Le, 6, 5, false},
-                      CondCase{Cond::Gt, 6, 5, true},
-                      CondCase{Cond::Gt, 5, 6, false},
-                      CondCase{Cond::Ge, 5, 5, true},
-                      CondCase{Cond::Ge, 4, 5, false}));
+INSTANTIATE_TEST_SUITE_P(AllConds, CondSweep,
+                         ::testing::ValuesIn(kCondCases));
 
 class NegateSweep : public ::testing::TestWithParam<Cond>
 {
