@@ -7,6 +7,7 @@
 #ifndef STM_BENCH_TABLE_UTIL_HH
 #define STM_BENCH_TABLE_UTIL_HH
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -22,6 +23,7 @@ namespace stm::bench
 /**
  * Install the worker count for this bench process from a `--jobs N`
  * argument (falling back to STM_JOBS, then hardware concurrency).
+ * Values below 1 are ignored and values above kMaxJobs clamp to it.
  * Every table driver calls this first; the run-execution engine
  * guarantees identical measured values for any worker count, so
  * --jobs only changes how long the bench takes.
@@ -33,7 +35,8 @@ applyJobsFlag(int argc, char **argv)
         if (std::string(argv[i]) == "--jobs") {
             long n = std::strtol(argv[i + 1], nullptr, 10);
             if (n >= 1)
-                setDefaultJobs(static_cast<unsigned>(n));
+                setDefaultJobs(static_cast<unsigned>(
+                    std::min(n, static_cast<long>(kMaxJobs))));
         }
     }
 }

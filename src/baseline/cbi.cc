@@ -15,6 +15,9 @@ namespace stm
 namespace
 {
 
+/** Attempt index of the first successful-phase run. */
+constexpr std::uint64_t kSuccessSeedBase = 5000000;
+
 /** Competition rank: ties share the best position. */
 template <typename Entry, typename Match>
 std::size_t
@@ -60,8 +63,8 @@ runCbi(ProgramPtr prog, const Workload &failing,
        const Workload &succeeding, const CbiOptions &opts)
 {
     // The sampling instrumentation rides a copy-on-write overlay; the
-    // program stays untouched and the whole 1000+1000 gather is
-    // content-addressable in the run cache.
+    // program stays untouched, and a phase that executes its attempts
+    // is content-addressable in the run cache.
     auto overlay = std::make_shared<Instrumentation>();
     transform::applyCbi(*prog, *overlay, opts.meanPeriod);
     std::shared_ptr<const Instrumentation> plan = std::move(overlay);
@@ -101,21 +104,44 @@ runCbi(ProgramPtr prog, const Workload &failing,
         }
     };
 
+    // A phase whose first attempt read its seed only through the CBI
+    // countdown takes the same path under every seed: trace it once
+    // and replay just the sampling per attempt (DESIGN.md §5). Any
+    // other phase executes every attempt, memoized.
+    auto tracePhase = [&](const MachineOptions &firstAttempt)
+        -> std::shared_ptr<const CbiTrace> {
+        Machine machine(prog, firstAttempt, plan);
+        machine.recordCbiVisits();
+        RunResult run = machine.run();
+        if (!machine.seedInvariant())
+            return nullptr;
+        return std::make_shared<const CbiTrace>(
+            machine.takeCbiTrace(std::move(run)));
+    };
+    auto attemptRun = [&](const CbiTrace *trace, const Workload &workload,
+                          std::uint64_t optionsFp, std::uint64_t i) {
+        MachineOptions runOpts = workload.forRun(i);
+        if (trace)
+            return replayCbi(*trace, runOpts.sched.seed);
+        return memoizedRun(prog, plan, progFp, optionsFp, runOpts);
+    };
+
     // The 1000+1000-run gathers are embarrassingly parallel: the
     // program is fully instrumented before fan-out, each run is
     // seeded by its attempt index, and results are consumed in
     // attempt order, so the set of used runs (and hence the tallies
     // and attempt counts) is bit-identical to the serial loop.
+    // Replaying workers share one read-only trace.
     RunPool pool(opts.jobs);
 
     // Gather failing runs.
     std::uint64_t attempt = 0;
     if (opts.failureRuns > 0) {
+        std::shared_ptr<const CbiTrace> trace = tracePhase(failing.forRun(0));
         pool.runOrdered(
             0, opts.maxAttempts,
-            [&, prog](std::uint64_t i) {
-                return memoizedRun(prog, plan, progFp, failingFp,
-                                   failing.forRun(i));
+            [&](std::uint64_t i) {
+                return attemptRun(trace.get(), failing, failingFp, i);
             },
             [&](std::uint64_t i, RunResult &&run) {
                 if (result.failureRunsUsed >= opts.failureRuns)
@@ -132,11 +158,14 @@ runCbi(ProgramPtr prog, const Workload &failing,
 
     // Gather successful runs.
     if (opts.successRuns > 0) {
+        std::shared_ptr<const CbiTrace> trace =
+            tracePhase(succeeding.forRun(kSuccessSeedBase));
         pool.runOrdered(
             0, opts.maxAttempts,
-            [&, prog](std::uint64_t i) {
-                return memoizedRun(prog, plan, progFp, succeedingFp,
-                                   succeeding.forRun(5000000 + i));
+            [&](std::uint64_t i) {
+                return attemptRun(trace.get(), succeeding,
+                                  succeedingFp,
+                                  kSuccessSeedBase + i);
             },
             [&](std::uint64_t, RunResult &&run) {
                 if (result.successRunsUsed >= opts.successRuns)

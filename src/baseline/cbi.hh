@@ -9,6 +9,15 @@
  * 1/100 sampling rate CBI needs on the order of a thousand failing
  * runs where LBRA needs ten, and its instrumentation costs an order
  * of magnitude more run-time overhead.
+ *
+ * A campaign's attempts differ only in their seed. When a phase's
+ * first attempt reads its seed only through the CBI sampling
+ * countdown (Machine::seedInvariant), every attempt follows that
+ * attempt's path: runCbi records its CBI site visits once and
+ * produces each attempt's RunResult by replaying the countdown under
+ * the attempt's seed (replayCbi). Otherwise (preemption, interrupts,
+ * CCI/PBI sampling, several threads) it executes every attempt. Both
+ * paths give bit-identical results; see DESIGN.md §5.
  */
 
 #ifndef STM_BASELINE_CBI_HH

@@ -1,5 +1,6 @@
 #include "exec/run_pool.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -48,14 +49,15 @@ unsigned
 defaultJobs()
 {
     if (jobsOverride > 0)
-        return jobsOverride;
+        return std::min(jobsOverride, kMaxJobs);
     if (const char *env = std::getenv("STM_JOBS")) {
         long n = std::strtol(env, nullptr, 10);
         if (n >= 1)
-            return static_cast<unsigned>(n);
+            return static_cast<unsigned>(
+                std::min(n, static_cast<long>(kMaxJobs)));
     }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
+    return std::clamp(hw, 1u, kMaxJobs);
 }
 
 void
@@ -67,7 +69,7 @@ setDefaultJobs(unsigned jobs)
 unsigned
 resolveJobs(unsigned jobs)
 {
-    return jobs > 0 ? jobs : defaultJobs();
+    return jobs > 0 ? std::min(jobs, kMaxJobs) : defaultJobs();
 }
 
 StatGroup &

@@ -51,9 +51,15 @@ namespace stm
 {
 
 /**
- * Default worker count: the STM_JOBS environment variable if set,
- * else an explicit process-wide override installed by setDefaultJobs,
- * else std::thread::hardware_concurrency(). Always at least 1.
+ * The most workers a RunPool ever starts, whatever --jobs, STM_JOBS,
+ * setDefaultJobs or the hardware asks for.
+ */
+constexpr unsigned kMaxJobs = 256;
+
+/**
+ * Default worker count: an explicit process-wide override installed
+ * by setDefaultJobs, else the STM_JOBS environment variable if set,
+ * else std::thread::hardware_concurrency(). Always in 1..kMaxJobs.
  */
 unsigned defaultJobs();
 
@@ -63,7 +69,7 @@ unsigned defaultJobs();
  */
 void setDefaultJobs(unsigned jobs);
 
-/** Resolve a jobs option: 0 means defaultJobs(). */
+/** Resolve a jobs option: 0 means defaultJobs(); at most kMaxJobs. */
 unsigned resolveJobs(unsigned jobs);
 
 /**

@@ -9,7 +9,8 @@
  *  - every Thread (registers, pc, CPL, scheduler state, call stack,
  *    CBI/CCI countdowns) plus the scheduler's (current, quantumLeft)
  *    pair,
- *  - the scheduler/sampling RNG stream position (Pcg32 is two words),
+ *  - the scheduler/sampling RNG stream position (a SeedStream: two
+ *    Pcg32 words plus its count of non-CBI seed reads),
  *  - the monitoring hardware: per-core LBR rings and performance
  *    counters (including the PEBS-style jitter state, so a resumed
  *    run samples the exact events the original would), the LCR
@@ -52,9 +53,9 @@
 #include "hw/bts.hh"
 #include "hw/lcr.hh"
 #include "hw/pmu.hh"
-#include "support/random.hh"
 #include "vm/memory_image.hh"
 #include "vm/run_result.hh"
+#include "vm/seed_stream.hh"
 #include "vm/thread.hh"
 
 namespace stm
@@ -83,7 +84,7 @@ struct MachineCheckpoint
     // ---- scheduler ----
     ThreadId schedCurrent = 0;
     std::uint32_t schedQuantumLeft = 0;
-    Pcg32 rng{0, 0};
+    SeedStream rng{0};
     std::vector<Thread> threads;
     std::unordered_map<Addr, MachineMutex> mutexes;
 

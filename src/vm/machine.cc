@@ -30,7 +30,7 @@ Machine::Machine(ProgramPtr prog, MachineOptions opts,
     : prog_(std::move(prog)),
       opts_(std::move(opts)),
       overlayHold_(std::move(overlay)),
-      rng_(opts_.sched.seed, 7),
+      rng_(opts_.sched.seed),
       bus_(opts_.cache),
       lcr_(opts_.lcrEntries)
 {
@@ -256,6 +256,8 @@ Machine::spawnThread(std::uint32_t entry_pc, Word arg)
     // the pc of matching coherence events on overflow interrupts.
     const Instrumentation &instr = *instr_;
     if (instr.pbiEnabled) {
+        // The counters' jitter is seeded from the run's seed.
+        rng_.noteSeedRead();
         PerfCounter::OverflowHandler sampler = pbiSampler();
         pmu->counter(0).configure(msr::kEventLoad, instr.pbiLoadMask,
                                   false, true);
@@ -1103,27 +1105,95 @@ Machine::runHooks(Thread &t, const std::vector<Hook> &hooks)
     }
 }
 
+std::uint8_t
+Machine::cbiReading(const Thread &t) const
+{
+    const Instruction &br = prog_->code[t.pc];
+    if (br.op != Opcode::Br)
+        return CbiVisit::kNotABranch;
+    bool taken = evalCond(br.cond, t.regs[br.ra], t.regs[br.rb]);
+    return taken == br.outcomeWhenTaken ? 1 : 0;
+}
+
+namespace
+{
+
+/** Count one sampled CBI visit into @p run. */
+void
+recordCbiSample(RunResult &run, const CbiVisit &visit)
+{
+    if (visit.reading == CbiVisit::kNotABranch)
+        return;
+    ++run.cbiSiteSamples[visit.site];
+    ++run.cbiCounts[CbiPredicate{visit.site, visit.reading != 0}];
+}
+
+} // namespace
+
 void
 Machine::cbiSample(Thread &t, const Hook &hook)
 {
-    const Instrumentation &instr = *instr_;
+    if (cbiVisits_) [[unlikely]]
+        cbiVisits_->push_back(CbiVisit{hook.site, cbiReading(t)});
     // Fast path: a decrement-and-test on the sampling countdown.
-    chargeInstrumentation(1);
-    if (t.cbiCountdown == 0) {
-        t.cbiCountdown = rng_.nextGeometric(instr.cbiMeanPeriod);
+    std::uint64_t cost = CbiCountdown::kVisitCost;
+    if (t.cbiCountdown.visit(rng_.cbiStream(), instr_->cbiMeanPeriod)) {
+        // Slow path: evaluate and record the branch predicate.
+        cost += CbiCountdown::kSampleCost;
+        recordCbiSample(result_, CbiVisit{hook.site, cbiReading(t)});
     }
-    if (--t.cbiCountdown != 0)
-        return;
-    t.cbiCountdown = rng_.nextGeometric(instr.cbiMeanPeriod);
-    // Slow path: evaluate and record the branch predicate.
-    chargeInstrumentation(15);
-    const Instruction &br = prog_->code[t.pc];
-    if (br.op != Opcode::Br)
-        return;
-    bool taken = evalCond(br.cond, t.regs[br.ra], t.regs[br.rb]);
-    bool outcome = taken == br.outcomeWhenTaken;
-    ++result_.cbiSiteSamples[hook.site];
-    ++result_.cbiCounts[CbiPredicate{hook.site, outcome}];
+    chargeInstrumentation(cost);
+    cbiCharged_ += cost;
+}
+
+void
+Machine::recordCbiVisits()
+{
+    if (booted_ || resumeFrom_)
+        panic("recordCbiVisits must precede a booting run");
+    cbiVisits_ = std::make_unique<std::vector<CbiVisit>>();
+}
+
+bool
+Machine::seedInvariant() const
+{
+    return rng_.otherSeedReads() == 0 && threads_.size() == 1;
+}
+
+CbiTrace
+Machine::takeCbiTrace(RunResult run)
+{
+    if (!cbiVisits_)
+        panic("takeCbiTrace without recordCbiVisits");
+    run.cbiCounts.clear();
+    run.cbiSiteSamples.clear();
+    run.stats.instrumentationInstructions -= cbiCharged_;
+    CbiTrace trace;
+    trace.base = std::move(run);
+    trace.visits = std::move(*cbiVisits_);
+    trace.meanPeriod = instr_->cbiMeanPeriod;
+    return trace;
+}
+
+RunResult
+replayCbi(const CbiTrace &trace, std::uint64_t seed)
+{
+    RunResult run = trace.base;
+    SeedStream rng(seed);
+    CbiCountdown countdown;
+    const std::uint64_t visits = trace.visits.size();
+    std::uint64_t samples = 0;
+    for (std::uint64_t next = 0; visits > 0; ++next) {
+        next += countdown.skipToSample(rng.cbiStream(), trace.meanPeriod);
+        if (next >= visits)
+            break;
+        recordCbiSample(run, trace.visits[next]);
+        ++samples;
+    }
+    run.stats.instrumentationInstructions +=
+        visits * CbiCountdown::kVisitCost +
+        samples * CbiCountdown::kSampleCost;
+    return run;
 }
 
 } // namespace stm

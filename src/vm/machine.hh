@@ -30,16 +30,49 @@
 #include "hw/lcr.hh"
 #include "hw/pmu.hh"
 #include "program/program.hh"
-#include "support/random.hh"
 #include "vm/checkpoint.hh"
 #include "vm/decoded_program.hh"
 #include "vm/memory_image.hh"
 #include "vm/options.hh"
 #include "vm/run_result.hh"
+#include "vm/seed_stream.hh"
 #include "vm/thread.hh"
 
 namespace stm
 {
+
+/** One CBI site visit: what it records if the countdown samples it. */
+struct CbiVisit
+{
+    /** Reading of a hook that sits on a non-Br instruction. */
+    static constexpr std::uint8_t kNotABranch = 2;
+
+    SourceBranchId site = 0;
+    /** Predicate outcome (0 or 1), or kNotABranch. */
+    std::uint8_t reading = 0;
+};
+
+/**
+ * A seed-free account of one run under a CBI plan, recorded by
+ * Machine::recordCbiVisits: the run without its CBI contribution and
+ * every CBI site visit in execution order.
+ */
+struct CbiTrace
+{
+    /** The RunResult minus CBI samples and CBI instruction charges. */
+    RunResult base;
+    std::vector<CbiVisit> visits;
+    /** The plan's mean sampling period. */
+    double meanPeriod = 0.0;
+};
+
+/**
+ * The run @p trace came from, replayed under @p seed: CbiCountdown
+ * walks the visits from sample to sample on @p seed's stream. Equal
+ * to Machine::run() under that seed whenever the recorded run was
+ * seedInvariant().
+ */
+RunResult replayCbi(const CbiTrace &trace, std::uint64_t seed);
 
 /** The simulated machine. One Machine executes one run. */
 class Machine
@@ -111,6 +144,28 @@ class Machine
      * runToStep() pause, or from an enableCheckpoints sink.
      */
     MachineCheckpointPtr checkpoint();
+
+    /**
+     * Record every CBI site visit of this run as (site, predicate
+     * outcome). Call before run(), on a booting (not resuming)
+     * Machine. Recording draws nothing and charges nothing, so run()
+     * returns the RunResult it would return unrecorded.
+     */
+    void recordCbiVisits();
+
+    /**
+     * After run(): true when the run read its seed only through CBI
+     * countdown draws (SeedStream::otherSeedReads() is 0) and ran a
+     * single thread. Several threads keep several countdowns on one
+     * stream, which replayCbi does not model, so they report false.
+     */
+    bool seedInvariant() const;
+
+    /**
+     * After a recorded run(): the CbiTrace of @p run, the RunResult
+     * that run() returned. Moves the recorded visits out.
+     */
+    CbiTrace takeCbiTrace(RunResult run);
 
     // ---- services used by the kernel driver and library models ----
 
@@ -296,13 +351,20 @@ class Machine
     bool anyOtherRunnable(ThreadId tid) const;
     ThreadId pickNext(ThreadId current) const;
 
+    /** The predicate reading cbiSample would record for @p thread. */
+    std::uint8_t cbiReading(const Thread &thread) const;
+
     ProgramPtr prog_;
     MachineOptions opts_;
     /** Keeps an overlay plan alive; null when running the program's own. */
     std::shared_ptr<const Instrumentation> overlayHold_;
     /** The plan every read goes through (overlay or &prog_->instrumentation). */
     const Instrumentation *instr_ = nullptr;
-    Pcg32 rng_;
+    SeedStream rng_;
+    /** Visit log armed by recordCbiVisits (null when not recording). */
+    std::unique_ptr<std::vector<CbiVisit>> cbiVisits_;
+    /** Instructions charged by CBI hooks this run. */
+    std::uint64_t cbiCharged_ = 0;
 
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<std::unique_ptr<Pmu>> pmus_;

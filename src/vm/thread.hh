@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "isa/types.hh"
+#include "vm/seed_stream.hh"
 
 namespace stm
 {
@@ -44,7 +45,7 @@ struct Thread
     ThreadId joinTarget = 0;
 
     /** CBI sampling countdown (geometric). */
-    std::uint32_t cbiCountdown = 0;
+    CbiCountdown cbiCountdown;
     /** CCI sampling countdown (geometric). */
     std::uint32_t cciCountdown = 0;
 

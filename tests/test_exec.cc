@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,6 +147,28 @@ TEST(RunPool, JobsResolution)
     EXPECT_EQ(RunPool(3).jobs(), 3u);
     setDefaultJobs(0); // clear the override
     EXPECT_GE(defaultJobs(), 1u);
+}
+
+TEST(RunPool, JobsNeverExceedTheBound)
+{
+    // Resolution only: no pool is built at these counts.
+    EXPECT_EQ(resolveJobs(kMaxJobs), kMaxJobs);
+    EXPECT_EQ(resolveJobs(kMaxJobs + 1), kMaxJobs);
+    EXPECT_EQ(resolveJobs(4294967295u), kMaxJobs);
+    setDefaultJobs(4294967295u);
+    EXPECT_EQ(defaultJobs(), kMaxJobs);
+    EXPECT_EQ(resolveJobs(0), kMaxJobs);
+    setDefaultJobs(0);
+
+    const char *saved = std::getenv("STM_JOBS");
+    std::string restore = saved ? saved : "";
+    setenv("STM_JOBS", "4294967295", 1);
+    EXPECT_EQ(defaultJobs(), kMaxJobs);
+    if (saved)
+        setenv("STM_JOBS", restore.c_str(), 1);
+    else
+        unsetenv("STM_JOBS");
+    EXPECT_LE(defaultJobs(), kMaxJobs);
 }
 
 TEST(RunPool, ThroughputStatsAccumulate)

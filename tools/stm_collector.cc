@@ -32,7 +32,9 @@
 #include <string>
 #include <unistd.h>
 
+#include "cli_parse.hh"
 #include "corpus/registry.hh"
+#include "exec/run_pool.hh"
 #include "fleet/durable/campaign.hh"
 #include "fleet/durable/durable_collector.hh"
 #include "fleet/fleet_sim.hh"
@@ -129,20 +131,16 @@ usage()
 
 bool
 parse(int argc, char **argv, CliOptions *out)
-try {
+{
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        auto numeric = [&](auto *slot) {
+        auto numeric = [&](auto *slot, auto... bounds) {
             const char *v = next();
-            if (!v)
-                return false;
-            *slot = static_cast<
-                std::remove_pointer_t<decltype(slot)>>(
-                std::stoull(v));
-            return true;
+            return v &&
+                   tools::parseCount(arg.c_str(), v, slot, bounds...);
         };
         if (arg == "--machines") {
             if (!numeric(&out->machines))
@@ -154,23 +152,16 @@ try {
             if (!numeric(&out->profiles))
                 return false;
         } else if (arg == "--entries") {
-            if (!numeric(&out->entries))
+            if (!numeric(&out->entries, kMinRecordEntries,
+                         kMaxRecordEntries))
                 return false;
-            // stoull wraps "-1", so the range check catches it too.
-            if (out->entries < kMinRecordEntries ||
-                out->entries > kMaxRecordEntries) {
-                std::cerr << "--entries wants a record depth from "
-                          << kMinRecordEntries << " to "
-                          << kMaxRecordEntries << '\n';
-                return false;
-            }
         } else if (arg == "--conf1") {
             out->conf1 = true;
         } else if (arg == "--capacity" || arg == "--ring-slots") {
             if (!numeric(&out->capacity))
                 return false;
         } else if (arg == "--arena-mb") {
-            if (!numeric(&out->arenaMb))
+            if (!numeric(&out->arenaMb, 0, tools::kMaxMebibytes))
                 return false;
         } else if (arg == "--drop") {
             out->drop = true;
@@ -184,7 +175,7 @@ try {
             if (!numeric(&out->top))
                 return false;
         } else if (arg == "--jobs") {
-            if (!numeric(&out->jobs))
+            if (!numeric(&out->jobs, 0, kMaxJobs))
                 return false;
         } else if (arg == "--stats-json") {
             const char *v = next();
@@ -217,8 +208,12 @@ try {
             const char *slash = std::strchr(v, '/');
             if (!slash)
                 return false;
-            out->partIndex = std::stoull(std::string(v, slash));
-            out->partCount = std::stoull(std::string(slash + 1));
+            std::string index(v, slash);
+            if (!tools::parseCount("--partition", index.c_str(),
+                                   &out->partIndex) ||
+                !tools::parseCount("--partition", slash + 1,
+                                   &out->partCount))
+                return false;
             if (out->partCount == 0 ||
                 out->partIndex >= out->partCount) {
                 std::cerr << "--partition wants I/N with I < N\n";
@@ -244,9 +239,6 @@ try {
         }
     }
     return !out->bugId.empty() || !out->mergeDir.empty();
-} catch (const std::exception &) {
-    std::cerr << "invalid numeric option value\n";
-    return false;
 }
 
 void

@@ -20,14 +20,12 @@
  * for the transport-focused front end.
  */
 
-#include <charconv>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "baseline/cbi.hh"
+#include "cli_parse.hh"
 #include "corpus/registry.hh"
 #include "diag/auto_diag.hh"
 #include "diag/log_enhance.hh"
@@ -41,6 +39,8 @@
 #include "vm/options.hh"
 
 using namespace stm;
+using stm::tools::kMaxMebibytes;
+using stm::tools::parseCount;
 
 namespace
 {
@@ -143,31 +143,6 @@ usage()
            "                    waiting for a fresh failing seed\n";
 }
 
-/**
- * Parse @p text as a decimal count in [@p lo, @p hi] into @p out.
- * Signs, trailing junk and overflow are errors, where std::stoul
- * would wrap "-1" or ignore the junk.
- */
-bool
-parseCount(const char *opt, const char *text, std::size_t lo,
-           std::size_t hi, std::size_t *out)
-{
-    const char *end = text + std::strlen(text);
-    std::size_t value = 0;
-    auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
-        std::cerr << opt << " wants a whole number from " << lo;
-        if (hi != std::numeric_limits<std::size_t>::max())
-            std::cerr << " to " << hi;
-        else
-            std::cerr << " up";
-        std::cerr << ", got '" << text << "'\n";
-        return false;
-    }
-    *out = value;
-    return true;
-}
-
 bool
 parse(int argc, char **argv, CliOptions *out)
 try {
@@ -189,8 +164,8 @@ try {
             const char *v = next();
             if (!v)
                 return false;
-            if (!parseCount("--entries", v, kMinRecordEntries,
-                            kMaxRecordEntries, &out->entries))
+            if (!parseCount("--entries", v, &out->entries,
+                            kMinRecordEntries, kMaxRecordEntries))
                 return false;
         } else if (arg == "--conf1") {
             out->conf1 = true;
@@ -198,27 +173,28 @@ try {
             const char *v = next();
             if (!v)
                 return false;
-            out->profiles = static_cast<std::uint32_t>(std::stoul(v));
+            if (!parseCount("--profiles", v, &out->profiles))
+                return false;
         } else if (arg == "--proactive") {
             out->proactive = true;
         } else if (arg == "--top") {
             const char *v = next();
             if (!v)
                 return false;
-            if (!parseCount("--top", v, 1,
-                            std::numeric_limits<std::size_t>::max(),
-                            &out->top))
+            if (!parseCount("--top", v, &out->top, 1))
                 return false;
         } else if (arg == "--jobs") {
             const char *v = next();
             if (!v)
                 return false;
-            out->jobs = static_cast<unsigned>(std::stoul(v));
+            if (!parseCount("--jobs", v, &out->jobs, 0, kMaxJobs))
+                return false;
         } else if (arg == "--fleet") {
             const char *v = next();
             if (!v)
                 return false;
-            out->fleet = std::stoull(v);
+            if (!parseCount("--fleet", v, &out->fleet))
+                return false;
         } else if (arg == "--trace") {
             const char *v = next();
             if (!v)
@@ -234,8 +210,10 @@ try {
             const char *v = next();
             if (!v)
                 return false;
-            out->runCacheBytes = std::stoul(v) * std::size_t{1024} *
-                                 std::size_t{1024};
+            std::size_t mb = 0;
+            if (!parseCount("--run-cache-mb", v, &mb, 0, kMaxMebibytes))
+                return false;
+            out->runCacheBytes = mb << 20;
         } else if (arg == "--dispatch") {
             const char *v = next();
             if (!v)
@@ -245,14 +223,18 @@ try {
             const char *v = next();
             if (!v)
                 return false;
-            out->checkpointEvery = std::stoull(v);
+            if (!parseCount("--checkpoint-every", v,
+                            &out->checkpointEvery))
+                return false;
             out->checkpointSet = true;
         } else if (arg == "--checkpoint-mb") {
             const char *v = next();
             if (!v)
                 return false;
-            out->checkpointBytes = std::stoul(v) * std::size_t{1024} *
-                                   std::size_t{1024};
+            std::size_t mb = 0;
+            if (!parseCount("--checkpoint-mb", v, &mb, 0, kMaxMebibytes))
+                return false;
+            out->checkpointBytes = mb << 20;
             out->checkpointSet = true;
         } else if (arg == "--checkpoint-reprofile") {
             out->checkpointReprofile = true;
@@ -266,10 +248,9 @@ try {
         }
     }
     return out->list || !out->bugId.empty();
-} catch (const std::exception &) {
-    // Non-numeric value for a numeric option (--profiles, --jobs,
-    // --fleet, the cache budgets).
-    std::cerr << "invalid numeric option value\n";
+} catch (const FatalError &e) {
+    // An unknown --dispatch or --run-cache mode.
+    std::cerr << e.what() << '\n';
     return false;
 }
 

@@ -22,6 +22,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_parse.hh"
 #include "corpus/registry.hh"
 #include "diag/auto_diag.hh"
 #include "exec/run_pool.hh"
@@ -76,7 +77,7 @@ usage()
 
 bool
 parse(int argc, char **argv, CliOptions *out)
-try {
+{
     if (argc < 2)
         return false;
     out->command = argv[1];
@@ -85,14 +86,10 @@ try {
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        auto numeric = [&](auto *slot) {
+        auto numeric = [&](auto *slot, auto... bounds) {
             const char *v = next();
-            if (!v)
-                return false;
-            *slot = static_cast<
-                std::remove_pointer_t<decltype(slot)>>(
-                std::stoull(v));
-            return true;
+            return v &&
+                   tools::parseCount(arg.c_str(), v, slot, bounds...);
         };
         if (arg == "--tool") {
             const char *v = next();
@@ -112,7 +109,7 @@ try {
             if (!numeric(&out->limit))
                 return false;
         } else if (arg == "--jobs") {
-            if (!numeric(&out->jobs))
+            if (!numeric(&out->jobs, 0, kMaxJobs))
                 return false;
         } else if (arg == "--out") {
             const char *v = next();
@@ -137,9 +134,6 @@ try {
         return !out->bugId.empty() && !out->outPath.empty();
     if (out->command == "dump" || out->command == "stats")
         return !out->inPath.empty();
-    return false;
-} catch (const std::exception &) {
-    std::cerr << "invalid numeric option value\n";
     return false;
 }
 
