@@ -32,7 +32,8 @@
  * shrink monotonically with fleet size, or the wave's merge is not
  * bit-identical.
  *
- * Flags: --max-machines N caps the sweep (default 1000000);
+ * Flags: --max-machines N caps the sweep (1..1000000, default
+ * 1000000);
  * --jobs N for the one-time pool capture.
  */
 
@@ -56,6 +57,9 @@ using namespace stm::bench;
 
 namespace
 {
+
+/** The sweep's largest fleet, and the bound of --max-machines. */
+constexpr std::uint64_t kLargestFleet = 1000000;
 
 struct SweepRow
 {
@@ -157,7 +161,7 @@ main(int argc, char **argv)
 {
     applyJobsFlag(argc, argv);
     bool check = true;
-    std::uint64_t maxMachines = 1000000;
+    std::uint64_t maxMachines = kLargestFleet;
     std::string outPath = "BENCH_fleet_campaign.json";
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--no-check"))
@@ -168,7 +172,8 @@ main(int argc, char **argv)
             outPath = argv[++i];
         else if (i + 1 < argc &&
                  !std::strcmp(argv[i], "--max-machines"))
-            maxMachines = std::strtoull(argv[++i], nullptr, 10);
+            maxMachines = countFlag<std::uint64_t>(
+                "--max-machines", argv[++i], 1, kLargestFleet);
     }
 
     std::cout << "Capturing campaign report pools (bug cp)...\n";
@@ -195,7 +200,7 @@ main(int argc, char **argv)
     for (std::uint64_t machines : {std::uint64_t{1000},
                                    std::uint64_t{10000},
                                    std::uint64_t{100000},
-                                   std::uint64_t{1000000}}) {
+                                   kLargestFleet}) {
         if (machines > maxMachines)
             continue;
         for (auto scheme : {transform::SuccessSiteScheme::Reactive,
@@ -230,8 +235,7 @@ main(int argc, char **argv)
 
     // The 1M full-fleet wave: same schedule through 1 and through 4
     // collectors; the merged snapshot must be byte-identical.
-    std::uint64_t waveMachines =
-        maxMachines < 1000000 ? maxMachines : 1000000;
+    std::uint64_t waveMachines = maxMachines;
     std::cout << "\n1M-machine wave merge identity ("
               << withCommas(waveMachines) << " machines, 1 vs 4 "
               << "collectors)...\n";

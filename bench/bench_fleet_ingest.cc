@@ -30,8 +30,8 @@
  * of reports with fingerprint dedup on, or the service, not the
  * fleet, is the bottleneck.
  *
- * Flags: --reports N frames per configuration (default 40000);
- * --repeat N best-of-N per configuration (default 3).
+ * Flags: --reports N frames per configuration (1..1000000, default
+ * 40000); --repeat N best-of-N per configuration (1..100, default 3).
  */
 
 #include <atomic>
@@ -55,6 +55,10 @@ using namespace stm::bench;
 
 namespace
 {
+
+/** Bounds of --reports and --repeat. */
+constexpr std::uint64_t kMaxReports = 1000000;
+constexpr std::uint64_t kMaxRepeats = 100;
 
 /** A realistic report: LBR kind, @p lbr_entries -deep ring. */
 fleet::RunProfile
@@ -262,14 +266,14 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--check-floor"))
             check = true;
         else if (i + 1 < argc && !std::strcmp(argv[i], "--reports"))
-            reports = std::strtoull(argv[++i], nullptr, 10);
+            reports = countFlag<std::uint64_t>("--reports", argv[++i], 1,
+                                               kMaxReports);
         else if (i + 1 < argc && !std::strcmp(argv[i], "--repeat"))
-            repeats = std::strtoull(argv[++i], nullptr, 10);
+            repeats = countFlag<std::uint64_t>("--repeat", argv[++i], 1,
+                                               kMaxRepeats);
         else if (i + 1 < argc && !std::strcmp(argv[i], "--out"))
             outPath = argv[++i];
     }
-    if (repeats == 0)
-        repeats = 1;
 
     constexpr unsigned kDefaultLbrEntries = 8;
     constexpr double kFloorRate = 1000000.0;

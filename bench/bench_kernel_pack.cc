@@ -67,7 +67,6 @@ int
 main(int argc, char **argv)
 {
     bench::applyJobsFlag(argc, argv);
-    bench::applyRunCacheFlag(argc, argv);
 
     std::cout << "Kernel-mode pack: ring-aware diagnosis "
                  "(rank / precision / recall under the matching ring "

@@ -75,7 +75,6 @@ int
 main(int argc, char **argv)
 {
     bench::applyJobsFlag(argc, argv);
-    bench::applyRunCacheFlag(argc, argv);
     std::cout
         << "Table 6 (diagnosis): LBRLOG / LBRA / CBI on the 20 "
            "sequential-bug failures\n"

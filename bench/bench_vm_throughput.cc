@@ -17,11 +17,12 @@
  * exits non-zero if aggregate throughput regresses more than 30%
  * below the floor's instructions/sec.
  *
- * Flags: --runs N scales the per-workload run count (default 300);
- * --repeat N times each workload N times and keeps the fastest
- * repetition (default 3 — the runs are deterministic, so repetitions
- * differ only by scheduler/frequency noise and best-of-N is the
- * standard way to measure the machine rather than its neighbors);
+ * Flags: --runs N scales the per-workload run count (1..100000,
+ * default 300); --repeat N times each workload N times and keeps the
+ * fastest repetition (1..100, default 3 — the runs are deterministic,
+ * so repetitions differ only by scheduler/frequency noise and
+ * best-of-N is the standard way to measure the machine rather than
+ * its neighbors);
  * --jobs is accepted for symmetry with the other benches but the
  * measurement itself is single-run (serial) by design.
  *
@@ -62,6 +63,10 @@ using namespace stm::bench;
 
 namespace
 {
+
+/** Bounds of --runs and --repeat. */
+constexpr std::uint64_t kMaxRuns = 100000;
+constexpr std::uint64_t kMaxRepeats = 100;
 
 struct WorkloadSpec
 {
@@ -370,9 +375,11 @@ main(int argc, char **argv)
     std::string histogramPath;
     for (int i = 1; i + 1 < argc; ++i) {
         if (!std::strcmp(argv[i], "--runs"))
-            runs = std::strtoull(argv[i + 1], nullptr, 10);
+            runs = countFlag<std::uint64_t>("--runs", argv[i + 1], 1,
+                                            kMaxRuns);
         else if (!std::strcmp(argv[i], "--repeat"))
-            repeats = std::strtoull(argv[i + 1], nullptr, 10);
+            repeats = countFlag<std::uint64_t>("--repeat", argv[i + 1], 1,
+                                               kMaxRepeats);
         else if (!std::strcmp(argv[i], "--out"))
             outPath = argv[i + 1];
         else if (!std::strcmp(argv[i], "--baseline"))
@@ -399,8 +406,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (repeats == 0)
-        repeats = 1;
     std::cout << "Single-run interpreter throughput (mixed corpus, "
               << runs << " runs per workload, best of " << repeats
               << ", dispatch " << dispatchArg;

@@ -1,72 +1,62 @@
 /**
  * @file
- * Small helpers shared by the table-reproduction benches: fixed-width
- * cells and the paper's "-" / "inf" / "N/A" renderings.
+ * Small helpers shared by the table-reproduction benches: strict
+ * numeric flags, fixed-width cells and the paper's "-" / "inf" /
+ * "N/A" renderings.
  */
 
 #ifndef STM_BENCH_TABLE_UTIL_HH
 #define STM_BENCH_TABLE_UTIL_HH
 
-#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 
-#include "exec/run_cache.hh"
+#include "cli_parse.hh"
 #include "exec/run_pool.hh"
 
 namespace stm::bench
 {
 
 /**
+ * The value of numeric flag @p opt, parsed strictly by
+ * tools::parseCount: a sign, junk or a value outside [@p lo, @p hi]
+ * prints why and exits 2 before the bench does any work.
+ */
+template <typename T>
+T
+countFlag(const char *opt, const char *text, std::type_identity_t<T> lo,
+          std::type_identity_t<T> hi)
+{
+    T value = 0;
+    if (!tools::parseCount(opt, text, &value, lo, hi))
+        std::exit(2);
+    return value;
+}
+
+/**
  * Install the worker count for this bench process from a `--jobs N`
- * argument (falling back to STM_JOBS, then hardware concurrency).
- * Values below 1 are ignored and values above kMaxJobs clamp to it.
- * Every table driver calls this first; the run-execution engine
- * guarantees identical measured values for any worker count, so
- * --jobs only changes how long the bench takes.
+ * argument, N in 1..kMaxJobs (without it: STM_JOBS, then hardware
+ * concurrency). Any other value, or a missing one, exits 2. Every
+ * table driver calls this first; the run-execution engine guarantees
+ * identical measured values for any worker count, so --jobs only
+ * changes how long the bench takes.
  */
 inline void
 applyJobsFlag(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            long n = std::strtol(argv[i + 1], nullptr, 10);
-            if (n >= 1)
-                setDefaultJobs(static_cast<unsigned>(
-                    std::min(n, static_cast<long>(kMaxJobs))));
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) != "--jobs")
+            continue;
+        if (i + 1 == argc) {
+            std::cerr << "--jobs wants a value\n";
+            std::exit(2);
         }
+        setDefaultJobs(countFlag<unsigned>("--jobs", argv[++i], 1,
+                                           kMaxJobs));
     }
-}
-
-/**
- * Install the process-wide run cache from `--run-cache off|on|verify`
- * and `--run-cache-mb N` arguments (falling back to the STM_RUN_CACHE
- * environment variables when neither flag is given). Cached replay is
- * bit-identical to execution, so the flags only change how long a
- * bench with repeated configurations takes — `verify` re-executes
- * every hit and asserts exactly that.
- */
-inline void
-applyRunCacheFlag(int argc, char **argv)
-{
-    bool configure = false;
-    RunCacheMode mode = RunCacheMode::Off;
-    std::size_t maxBytes = 0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--run-cache") {
-            mode = parseRunCacheMode(argv[i + 1]);
-            configure = true;
-        } else if (std::string(argv[i]) == "--run-cache-mb") {
-            long mb = std::strtol(argv[i + 1], nullptr, 10);
-            if (mb >= 1)
-                maxBytes = static_cast<std::size_t>(mb) * 1024 * 1024;
-        }
-    }
-    if (configure)
-        configureRunCache(mode, maxBytes);
 }
 
 /** Fixed-width left-aligned cell. */

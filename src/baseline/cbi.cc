@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
-#include "program/fingerprint.hh"
 #include "program/transform.hh"
 #include "vm/machine.hh"
 
@@ -63,18 +61,10 @@ runCbi(ProgramPtr prog, const Workload &failing,
        const Workload &succeeding, const CbiOptions &opts)
 {
     // The sampling instrumentation rides a copy-on-write overlay; the
-    // program stays untouched, and a phase that executes its attempts
-    // is content-addressable in the run cache.
+    // program stays untouched.
     auto overlay = std::make_shared<Instrumentation>();
     transform::applyCbi(*prog, *overlay, opts.meanPeriod);
     std::shared_ptr<const Instrumentation> plan = std::move(overlay);
-    const std::uint64_t progFp = combineFingerprints(
-        fingerprintProgramBase(*prog),
-        fingerprintInstrumentation(*plan));
-    const std::uint64_t failingFp =
-        fingerprintMachineOptions(failing.forRun(0));
-    const std::uint64_t succeedingFp =
-        fingerprintMachineOptions(succeeding.forRun(0));
 
     CbiResult result;
     std::map<CbiPredicate, LiblitTally> tallies;
@@ -119,11 +109,11 @@ runCbi(ProgramPtr prog, const Workload &failing,
             machine.takeCbiTrace(std::move(run)));
     };
     auto attemptRun = [&](const CbiTrace *trace, const Workload &workload,
-                          std::uint64_t optionsFp, std::uint64_t i) {
+                          std::uint64_t i) {
         MachineOptions runOpts = workload.forRun(i);
         if (trace)
             return replayCbi(*trace, runOpts.sched.seed);
-        return memoizedRun(prog, plan, progFp, optionsFp, runOpts);
+        return Machine(prog, runOpts, plan).run();
     };
 
     // The 1000+1000-run gathers are embarrassingly parallel: the
@@ -141,7 +131,7 @@ runCbi(ProgramPtr prog, const Workload &failing,
         pool.runOrdered(
             0, opts.maxAttempts,
             [&](std::uint64_t i) {
-                return attemptRun(trace.get(), failing, failingFp, i);
+                return attemptRun(trace.get(), failing, i);
             },
             [&](std::uint64_t i, RunResult &&run) {
                 if (result.failureRunsUsed >= opts.failureRuns)
@@ -164,7 +154,6 @@ runCbi(ProgramPtr prog, const Workload &failing,
             0, opts.maxAttempts,
             [&](std::uint64_t i) {
                 return attemptRun(trace.get(), succeeding,
-                                  succeedingFp,
                                   kSuccessSeedBase + i);
             },
             [&](std::uint64_t, RunResult &&run) {

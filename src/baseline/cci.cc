@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
-#include "program/fingerprint.hh"
 #include "program/transform.hh"
 #include "vm/machine.hh"
 
@@ -42,13 +40,6 @@ runCci(ProgramPtr prog, const Workload &failing,
     auto overlay = std::make_shared<Instrumentation>();
     transform::applyCci(*overlay, opts.meanPeriod);
     std::shared_ptr<const Instrumentation> plan = std::move(overlay);
-    const std::uint64_t progFp = combineFingerprints(
-        fingerprintProgramBase(*prog),
-        fingerprintInstrumentation(*plan));
-    const std::uint64_t failingFp =
-        fingerprintMachineOptions(failing.forRun(0));
-    const std::uint64_t succeedingFp =
-        fingerprintMachineOptions(succeeding.forRun(0));
 
     CciResult result;
     std::map<std::pair<Addr, bool>, LiblitTally> tallies;
@@ -86,8 +77,7 @@ runCci(ProgramPtr prog, const Workload &failing,
         pool.runOrdered(
             0, opts.maxAttempts,
             [&, prog](std::uint64_t i) {
-                return memoizedRun(prog, plan, progFp, failingFp,
-                                   failing.forRun(i));
+                return Machine(prog, failing.forRun(i), plan).run();
             },
             [&](std::uint64_t i, RunResult &&run) {
                 if (result.failureRunsUsed >= opts.failureRuns)
@@ -106,8 +96,9 @@ runCci(ProgramPtr prog, const Workload &failing,
         pool.runOrdered(
             0, opts.maxAttempts,
             [&, prog](std::uint64_t i) {
-                return memoizedRun(prog, plan, progFp, succeedingFp,
-                                   succeeding.forRun(5000000 + i));
+                return Machine(prog, succeeding.forRun(5000000 + i),
+                               plan)
+                    .run();
             },
             [&](std::uint64_t, RunResult &&run) {
                 if (result.successRunsUsed >= opts.successRuns)

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
-#include "program/fingerprint.hh"
 #include "program/transform.hh"
 #include "vm/machine.hh"
 
@@ -44,13 +42,6 @@ runPbi(ProgramPtr prog, const Workload &failing,
     transform::applyPbi(*overlay, opts.loadMask, opts.storeMask,
                         opts.period);
     std::shared_ptr<const Instrumentation> plan = std::move(overlay);
-    const std::uint64_t progFp = combineFingerprints(
-        fingerprintProgramBase(*prog),
-        fingerprintInstrumentation(*plan));
-    const std::uint64_t failingFp =
-        fingerprintMachineOptions(failing.forRun(0));
-    const std::uint64_t succeedingFp =
-        fingerprintMachineOptions(succeeding.forRun(0));
 
     PbiResult result;
     // Key: (pc, (state << 1) | store) as produced by the VM.
@@ -82,8 +73,7 @@ runPbi(ProgramPtr prog, const Workload &failing,
         pool.runOrdered(
             0, opts.maxAttempts,
             [&, prog](std::uint64_t i) {
-                return memoizedRun(prog, plan, progFp, failingFp,
-                                   failing.forRun(i));
+                return Machine(prog, failing.forRun(i), plan).run();
             },
             [&](std::uint64_t i, RunResult &&run) {
                 if (result.failureRunsUsed >= opts.failureRuns)
@@ -102,8 +92,9 @@ runPbi(ProgramPtr prog, const Workload &failing,
         pool.runOrdered(
             0, opts.maxAttempts,
             [&, prog](std::uint64_t i) {
-                return memoizedRun(prog, plan, progFp, succeedingFp,
-                                   succeeding.forRun(5000000 + i));
+                return Machine(prog, succeeding.forRun(5000000 + i),
+                               plan)
+                    .run();
             },
             [&](std::uint64_t, RunResult &&run) {
                 if (result.successRunsUsed >= opts.successRuns)

@@ -102,38 +102,4 @@ Bus::stats() const
     return group;
 }
 
-Bus::Snapshot
-Bus::snapshotState() const
-{
-    Snapshot snap;
-    snap.caches.reserve(caches_.size());
-    for (const auto &c : caches_)
-        snap.caches.push_back(c->snapshotState());
-    snap.loadHits = loadHits_.value();
-    snap.busReads = busReads_.value();
-    snap.storeHits = storeHits_.value();
-    snap.busUpgrades = busUpgrades_.value();
-    snap.busReadExclusives = busReadExclusives_.value();
-    return snap;
-}
-
-void
-Bus::restoreState(const Snapshot &snap)
-{
-    if (snap.caches.size() != caches_.size())
-        panic("bus snapshot has {} caches, machine has {}",
-              snap.caches.size(), caches_.size());
-    for (std::size_t i = 0; i < caches_.size(); ++i)
-        caches_[i]->restoreState(snap.caches[i]);
-    auto restoreCounter = [](Counter &c, std::uint64_t v) {
-        c.reset();
-        c += v;
-    };
-    restoreCounter(loadHits_, snap.loadHits);
-    restoreCounter(busReads_, snap.busReads);
-    restoreCounter(storeHits_, snap.storeHits);
-    restoreCounter(busUpgrades_, snap.busUpgrades);
-    restoreCounter(busReadExclusives_, snap.busReadExclusives);
-}
-
 } // namespace stm

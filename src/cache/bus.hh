@@ -24,26 +24,6 @@ namespace stm
 class Bus
 {
   public:
-    /** Per-core cache snapshots plus the bus's own event counters. */
-    struct Snapshot
-    {
-        std::vector<L1Cache::Snapshot> caches;
-        std::uint64_t loadHits = 0;
-        std::uint64_t busReads = 0;
-        std::uint64_t storeHits = 0;
-        std::uint64_t busUpgrades = 0;
-        std::uint64_t busReadExclusives = 0;
-
-        std::size_t
-        approxBytes() const
-        {
-            std::size_t bytes = sizeof(Snapshot);
-            for (const auto &c : caches)
-                bytes += c.approxBytes();
-            return bytes;
-        }
-    };
-
     explicit Bus(const CacheGeometry &geometry = {});
 
     /** Create and attach the cache for core @p core_id (dense ids). */
@@ -116,14 +96,6 @@ class Bus
 
     /** True if any *other* core has the block in a valid state. */
     bool otherSharers(std::uint32_t core_id, Addr block) const;
-
-    /** Capture every attached cache plus the bus counters. */
-    Snapshot snapshotState() const;
-    /**
-     * Adopt @p snap. The same number of cores must already be
-     * attached (the resuming Machine re-runs its addCore sequence).
-     */
-    void restoreState(const Snapshot &snap);
 
     /**
      * Snapshot of the bus event counters as the "bus" group:

@@ -262,50 +262,4 @@ L1Cache::stats() const
     return group;
 }
 
-L1Cache::Snapshot
-L1Cache::snapshotState() const
-{
-    Snapshot snap;
-    snap.lines = lines_;
-    snap.mruWay = mruWay_;
-    snap.tick = tick_;
-    snap.lookups = lookups_;
-    snap.mruHits = mruHits_;
-    snap.fills = fills_.value();
-    snap.evictions = evictions_.value();
-    snap.writebacks = writebacks_.value();
-    snap.invalidationsReceived = invalidationsReceived_.value();
-    return snap;
-}
-
-void
-L1Cache::restoreState(const Snapshot &snap)
-{
-    if (snap.lines.size() != lines_.size() ||
-        snap.mruWay.size() != mruWay_.size()) {
-        panic("cache snapshot geometry mismatch: {}x{} lines vs "
-              "{}x{}",
-              snap.lines.size(), snap.mruWay.size(), lines_.size(),
-              mruWay_.size());
-    }
-    lines_ = snap.lines;
-    mruWay_ = snap.mruWay;
-    // Every set may now hold state; the tail bits past numSets_ stay
-    // clear so reset() never indexes past the last set.
-    dirty_.assign(dirty_.size(), ~std::uint64_t{0});
-    if (numSets_ % 64 != 0)
-        dirty_.back() = (std::uint64_t{1} << (numSets_ % 64)) - 1;
-    tick_ = snap.tick;
-    lookups_ = snap.lookups;
-    mruHits_ = snap.mruHits;
-    auto restoreCounter = [](Counter &c, std::uint64_t v) {
-        c.reset();
-        c += v;
-    };
-    restoreCounter(fills_, snap.fills);
-    restoreCounter(evictions_, snap.evictions);
-    restoreCounter(writebacks_, snap.writebacks);
-    restoreCounter(invalidationsReceived_, snap.invalidationsReceived);
-}
-
 } // namespace stm

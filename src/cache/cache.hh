@@ -18,12 +18,12 @@
  *
  * Setup/teardown notes: a simulated run builds its caches at boot and
  * drops them at the end, and most runs touch a handful of the 512
- * sets. fill() (the miss path) marks its set in a dirty bitmap, and
- * restoreState() marks every set. reset() and the destructor clear
- * only the dirty sets; the destructor then hands the line, MRU-hint
- * and bitmap buffers to a small per-thread free list, and the next
- * cache of the same geometry on that thread takes them instead of
- * allocating and zero-filling fresh ones.
+ * sets. fill() (the miss path) marks its set in a dirty bitmap.
+ * reset() and the destructor clear only the dirty sets; the
+ * destructor then hands the line, MRU-hint and bitmap buffers to a
+ * small per-thread free list, and the next cache of the same geometry
+ * on that thread takes them instead of allocating and zero-filling
+ * fresh ones.
  */
 
 #ifndef STM_CACHE_CACHE_HH
@@ -60,32 +60,6 @@ class L1Cache
         Addr tag = 0;
         MesiState state = MesiState::Invalid;
         std::uint64_t lastUse = 0;
-    };
-
-    /**
-     * The complete per-cache state a resumed run needs: every line's
-     * tag/MESI/LRU stamp, the MRU-way hints, the LRU tick, and the
-     * cumulative event counters (which feed cache-geometry RunResult
-     * invariants and the vm throughput gauges).
-     */
-    struct Snapshot
-    {
-        std::vector<Line> lines;
-        std::vector<std::uint32_t> mruWay;
-        std::uint64_t tick = 0;
-        std::uint64_t lookups = 0;
-        std::uint64_t mruHits = 0;
-        std::uint64_t fills = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t writebacks = 0;
-        std::uint64_t invalidationsReceived = 0;
-
-        std::size_t
-        approxBytes() const
-        {
-            return sizeof(Snapshot) + lines.capacity() * sizeof(Line) +
-                   mruWay.capacity() * sizeof(std::uint32_t);
-        }
     };
 
     L1Cache(std::uint32_t core_id, const CacheGeometry &geometry);
@@ -126,11 +100,6 @@ class L1Cache
      * storage.
      */
     void reset();
-
-    /** Capture the full mutable state (geometry is construction-fixed). */
-    Snapshot snapshotState() const;
-    /** Adopt @p snap; the geometry must match the construction one. */
-    void restoreState(const Snapshot &snap);
 
     std::uint32_t coreId() const { return coreId_; }
     const CacheGeometry &geometry() const { return geometry_; }

@@ -2,12 +2,9 @@
 
 #include <optional>
 
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
-#include "exec/snapshot_store.hh"
 #include "obs/trace.hh"
 #include "program/cfg.hh"
-#include "program/fingerprint.hh"
 #include "support/logging.hh"
 #include "vm/machine.hh"
 
@@ -69,8 +66,7 @@ runAutoDiag(ProgramPtr prog, const Workload &failing,
 
     // 1. Base log-enhancement instrumentation as a copy-on-write
     // overlay: the Program itself stays immutable for the whole
-    // campaign, so pool workers share it without copies and the
-    // run cache can address it by one base fingerprint.
+    // campaign, so pool workers share it without copies.
     Instrumentation plan;
     if (lbr) {
         transform::LbrLogPlan logPlan;
@@ -91,16 +87,12 @@ runAutoDiag(ProgramPtr prog, const Workload &failing,
                                          Proactive);
     }
 
-    // Runners read the published overlay and fingerprint through
-    // these locals; they are reassigned only between pool batches
-    // (pool drained), never while Machines are in flight.
-    const std::uint64_t baseFp = fingerprintProgramBase(*prog);
+    // Runners read the published overlay through this local; it is
+    // reassigned only between pool batches (pool drained), never
+    // while Machines are in flight.
     std::shared_ptr<const Instrumentation> overlay;
-    std::uint64_t progFp = 0;
     auto publishOverlay = [&] {
         overlay = std::make_shared<const Instrumentation>(plan);
-        progFp = combineFingerprints(
-            baseFp, fingerprintInstrumentation(plan));
     };
     publishOverlay();
 
@@ -110,19 +102,14 @@ runAutoDiag(ProgramPtr prog, const Workload &failing,
 
     auto makeRunner = [&](const Workload &workload,
                           std::uint64_t seed_base) {
-        MachineOptions proto = workload.forRun(0);
-        proto.lbrEntries = opts.log.lbrEntries;
-        proto.lcrEntries = opts.log.lcrEntries;
-        std::uint64_t optionsFp = fingerprintMachineOptions(proto);
-        return [prog, &opts, &workload, seed_base, &overlay, &progFp,
-                optionsFp](std::uint64_t i) {
+        return [prog, &opts, &workload, seed_base,
+                &overlay](std::uint64_t i) {
             MachineOptions machineOpts =
                 workload.forRun(seed_base + i);
             machineOpts.lbrEntries = opts.log.lbrEntries;
             machineOpts.lcrEntries = opts.log.lcrEntries;
             machineOpts.dispatch = opts.dispatch;
-            return memoizedRun(prog, overlay, progFp, optionsFp,
-                               machineOpts);
+            return Machine(prog, machineOpts, overlay).run();
         };
     };
     auto failureRunner = makeRunner(failing, 0);
@@ -183,9 +170,7 @@ runAutoDiag(ProgramPtr prog, const Workload &failing,
         // binary rewriting on the deployed binary). Only the O(sites)
         // overlay is touched — the pool drained before we got here,
         // and the next batch picks up the republished plan.
-        bool reprofiled = false;
         if (opts.scheme == transform::SuccessSiteScheme::Reactive) {
-            const std::uint64_t prePinFp = progFp;
             obs::TraceSpan reinstr(obs::TraceCategory::Diag,
                                    obs::TraceId::DiagReinstrument,
                                    result.site);
@@ -201,53 +186,12 @@ runAutoDiag(ProgramPtr prog, const Workload &failing,
                     result.site);
             }
             publishOverlay();
-            // Checkpointed re-profile: replay the pinning seed under
-            // the just-published plan, resuming from its newest
-            // pre-failure checkpoint (recorded under the PRE-pin
-            // program fingerprint — the plan swap does not perturb
-            // the trajectory, see AutoDiagOptions). Its profile
-            // replaces the pin run's pre-pin profile below; the
-            // resumed result is plan-B-observed under a plan-A
-            // prefix, so it must never enter the run cache.
-            if (opts.checkpointReprofile) {
-                MachineOptions pinOpts = failing.forRun(attempt - 1);
-                pinOpts.lbrEntries = opts.log.lbrEntries;
-                pinOpts.lcrEntries = opts.log.lcrEntries;
-                pinOpts.dispatch = opts.dispatch;
-                RunKey pinKey{prePinFp,
-                              fingerprintMachineOptions(pinOpts),
-                              pinOpts.sched.seed};
-                MachineCheckpointPtr base;
-                SnapshotStore *snapshots = globalSnapshotStore();
-                if (snapshots)
-                    base = snapshots->latestAtOrBefore(
-                        pinKey, ~std::uint64_t{0});
-                std::unique_ptr<Machine> machine;
-                if (base) {
-                    snapshots->noteRestore(base);
-                    machine = std::make_unique<Machine>(
-                        prog, pinOpts, overlay, base);
-                } else {
-                    machine = std::make_unique<Machine>(
-                        prog, pinOpts, overlay);
-                }
-                RunResult replay = machine->run();
-                const ProfileRecord *profile =
-                    pickProfile(replay, kind, site, false);
-                if (failing.isFailure(replay) && profile) {
-                    ranker.addFailureProfile(eventsOf(*profile));
-                    ++result.failureRunsUsed;
-                    reprofiled = true;
-                }
-            }
         }
-        if (!reprofiled) {
-            const ProfileRecord *profile =
-                pickProfile(run, kind, site, false);
-            if (profile) {
-                ranker.addFailureProfile(eventsOf(*profile));
-                ++result.failureRunsUsed;
-            }
+        const ProfileRecord *profile =
+            pickProfile(run, kind, site, false);
+        if (profile) {
+            ranker.addFailureProfile(eventsOf(*profile));
+            ++result.failureRunsUsed;
         }
         pinRun.reset();
     }

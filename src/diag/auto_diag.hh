@@ -47,19 +47,6 @@ struct AutoDiagOptions
     /** Budget of runs before giving up. */
     std::uint64_t maxAttempts = 50000;
     /**
-     * Reactive scheme only: after re-instrumentation, re-profile the
-     * seed that pinned the failure site under the new plan by
-     * resuming from its newest recorded checkpoint (falling back to
-     * a scratch re-run when the SnapshotStore holds none) — an O(√T)
-     * harvest of a post-pin failure profile instead of waiting for a
-     * fresh seed to reproduce the failure. Sound because LBRA/LCRA
-     * hooks never draw RNG or retire steps, so the plan swap leaves
-     * the replayed trajectory bit-identical (DESIGN.md §16); the
-     * resumed result never enters the run cache. Off by default —
-     * the extra profile changes failureRunsUsed accounting.
-     */
-    bool checkpointReprofile = false;
-    /**
      * Worker threads for run execution (0 = STM_JOBS environment
      * variable, else hardware concurrency). Any value produces
      * rankings and attempt counts bit-identical to jobs=1; see

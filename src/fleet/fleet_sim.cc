@@ -2,10 +2,8 @@
 
 #include <optional>
 
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
 #include "program/cfg.hh"
-#include "program/fingerprint.hh"
 #include "vm/machine.hh"
 
 namespace stm::fleet
@@ -51,7 +49,7 @@ captureFleetReports(const BugSpec &bug, const FleetOptions &opts)
 
     // 1. Base instrumentation as a copy-on-write overlay: the fleet's
     // deployed binary stays immutable; each phase ships an O(sites)
-    // plan (and the run cache can recall identical runs by content).
+    // plan.
     Instrumentation plan;
     if (lbr) {
         transform::LbrLogPlan logPlan;
@@ -72,13 +70,9 @@ captureFleetReports(const BugSpec &bug, const FleetOptions &opts)
     }
 
     // Published overlay state, reassigned only between pool batches.
-    const std::uint64_t baseFp = fingerprintProgramBase(*prog);
     std::shared_ptr<const Instrumentation> overlay;
-    std::uint64_t progFp = 0;
     auto publishOverlay = [&] {
         overlay = std::make_shared<const Instrumentation>(plan);
-        progFp = combineFingerprints(
-            baseFp, fingerprintInstrumentation(plan));
     };
     publishOverlay();
 
@@ -88,18 +82,13 @@ captureFleetReports(const BugSpec &bug, const FleetOptions &opts)
 
     auto makeRunner = [&](const Workload &workload,
                           std::uint64_t seed_base) {
-        MachineOptions proto = workload.forRun(0);
-        proto.lbrEntries = opts.log.lbrEntries;
-        proto.lcrEntries = opts.log.lcrEntries;
-        std::uint64_t optionsFp = fingerprintMachineOptions(proto);
-        return [prog, &opts, &workload, seed_base, &overlay, &progFp,
-                optionsFp](std::uint64_t i) {
+        return [prog, &opts, &workload, seed_base,
+                &overlay](std::uint64_t i) {
             MachineOptions machineOpts =
                 workload.forRun(seed_base + i);
             machineOpts.lbrEntries = opts.log.lbrEntries;
             machineOpts.lcrEntries = opts.log.lcrEntries;
-            return memoizedRun(prog, overlay, progFp, optionsFp,
-                               machineOpts);
+            return Machine(prog, machineOpts, overlay).run();
         };
     };
     auto failureRunner = makeRunner(failing, 0);

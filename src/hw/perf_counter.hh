@@ -24,28 +24,6 @@
 namespace stm
 {
 
-/**
- * The complete architectural state of one PerfCounter: programming,
- * accumulated count, and the sampling-period randomization state.
- * Captured by Machine::checkpoint() and restored on resume so a
- * resumed run samples the exact positions a from-scratch run would.
- * The overflow handler is not state — it is a binding to the owning
- * Machine and is re-supplied at restore time.
- */
-struct PerfCounterState
-{
-    std::uint8_t eventCode = 0;
-    std::uint8_t unitMask = 0;
-    bool countKernel = false;
-    bool countUser = true;
-    bool enabled = false;
-    std::uint64_t count = 0;
-    std::uint64_t period = 0;
-    std::uint64_t sinceOverflow = 0;
-    std::uint64_t jitterState = 0x9E3779B97F4A7C15ULL;
-    std::uint64_t threshold = 0;
-};
-
 /** One programmable performance-counter register. */
 class PerfCounter
 {
@@ -118,47 +96,6 @@ class PerfCounter
 
     std::uint64_t count() const { return count_; }
     void reset() { count_ = 0; sinceOverflow_ = 0; }
-
-    /** Capture the full architectural state (handler excluded). */
-    PerfCounterState
-    snapshotState() const
-    {
-        PerfCounterState s;
-        s.eventCode = eventCode_;
-        s.unitMask = unitMask_;
-        s.countKernel = countKernel_;
-        s.countUser = countUser_;
-        s.enabled = enabled_;
-        s.count = count_;
-        s.period = period_;
-        s.sinceOverflow = sinceOverflow_;
-        s.jitterState = jitterState_;
-        s.threshold = threshold_;
-        return s;
-    }
-
-    /**
-     * Adopt @p state wholesale and rebind the overflow handler (the
-     * checkpoint cannot carry the old Machine's binding). Unlike
-     * setSampling this does NOT re-randomize the threshold: the
-     * restored counter fires at exactly the events the checkpointed
-     * one would have.
-     */
-    void
-    restoreState(const PerfCounterState &state, OverflowHandler handler)
-    {
-        eventCode_ = state.eventCode;
-        unitMask_ = state.unitMask;
-        countKernel_ = state.countKernel;
-        countUser_ = state.countUser;
-        enabled_ = state.enabled;
-        count_ = state.count;
-        period_ = state.period;
-        sinceOverflow_ = state.sinceOverflow;
-        jitterState_ = state.jitterState;
-        threshold_ = state.threshold;
-        handler_ = std::move(handler);
-    }
 
   private:
     std::uint8_t eventCode_ = 0;

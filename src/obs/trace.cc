@@ -231,12 +231,6 @@ traceIdName(TraceId id)
         return "diag.success_collect";
       case TraceId::DiagRank:
         return "diag.rank";
-      case TraceId::ExecCacheHit:
-        return "exec.cache_hit";
-      case TraceId::ExecCacheMiss:
-        return "exec.cache_miss";
-      case TraceId::ExecCacheEvict:
-        return "exec.cache_evict";
       case TraceId::FleetSqDoorbell:
         return "fleet.sq_doorbell";
       case TraceId::FleetCqDoorbell:
@@ -247,12 +241,6 @@ traceIdName(TraceId id)
         return "vm.decode_miss";
       case TraceId::VmDecodeEvict:
         return "vm.decode_evict";
-      case TraceId::ExecCkptSave:
-        return "exec.ckpt_save";
-      case TraceId::ExecCkptRestore:
-        return "exec.ckpt_restore";
-      case TraceId::ExecCkptEvict:
-        return "exec.ckpt_evict";
     }
     return "unknown";
 }

@@ -63,7 +63,11 @@ enum class TracePhase : std::uint8_t {
 };
 constexpr std::uint8_t kTracePhaseCount = 3;
 
-/** What happened. One id per instrumented seam. */
+/**
+ * What happened. One id per instrumented seam. Dumps store the raw
+ * numbers, so removing or reordering an id bumps kTraceVersion
+ * (obs/trace_io.hh); new ids are appended.
+ */
 enum class TraceId : std::uint16_t {
     // vm
     VmRun,     //!< one Machine::run, begin..end; arg = outcome
@@ -87,23 +91,15 @@ enum class TraceId : std::uint16_t {
     DiagFailureCollect, //!< post-pin failure-profile collection
     DiagSuccessCollect, //!< success-profile collection
     DiagRank,           //!< statistical ranking; arg = events ranked
-    // exec run cache (appended: dump ids above must stay stable)
-    ExecCacheHit,   //!< memoized result served; arg = seed
-    ExecCacheMiss,  //!< executed and inserted; arg = seed
-    ExecCacheEvict, //!< LRU entry evicted for space; arg = bytes freed
-    // fleet ring transport (appended: dump ids above must stay stable)
+    // fleet ring transport
     FleetSqDoorbell, //!< descriptor published to a shard ring; arg = shard
     FleetCqDoorbell, //!< drain batch completed frames; arg = completed
-    // vm predecode cache (appended: dump ids above must stay stable)
+    // vm predecode cache
     VmDecodeHit,   //!< predecoded program served from cache; arg = pcs
     VmDecodeMiss,  //!< predecode built on miss; arg = pcs
     VmDecodeEvict, //!< LRU predecode evicted for space; arg = bytes freed
-    // exec snapshot store (appended: dump ids above must stay stable)
-    ExecCkptSave,    //!< checkpoint recorded; arg = step
-    ExecCkptRestore, //!< seek resumed from a checkpoint; arg = step
-    ExecCkptEvict,   //!< timeline evicted for space; arg = bytes freed
 };
-constexpr std::uint16_t kTraceIdCount = 29;
+constexpr std::uint16_t kTraceIdCount = 23;
 
 /** Human-readable names (used by the Chrome exporter and stats). */
 std::string traceCategoryName(TraceCategory category);

@@ -45,8 +45,11 @@ namespace stm::obs
 /** Dump magic: "STMT" (STM Trace). */
 constexpr std::uint32_t kTraceMagic = 0x544D5453u;
 
-/** Current dump version; bump on any payload layout change. */
-constexpr std::uint16_t kTraceVersion = 1;
+/**
+ * Current dump version; bump on any payload layout change, including
+ * a renumbering of TraceId.
+ */
+constexpr std::uint16_t kTraceVersion = 2;
 
 /** Fixed frame header size in bytes (same shape as the wire). */
 constexpr std::size_t kTraceHeaderSize = 16;

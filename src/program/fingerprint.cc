@@ -1,7 +1,6 @@
 #include "program/fingerprint.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 namespace stm
@@ -56,15 +55,6 @@ hashLoc(FingerprintHasher &f, const SourceLoc &loc)
 }
 
 } // namespace
-
-void
-FingerprintHasher::f64(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
 
 std::uint64_t
 fingerprintProgramBase(const Program &prog)
@@ -134,33 +124,6 @@ fingerprintProgramBase(const Program &prog)
 }
 
 std::uint64_t
-fingerprintInstrumentation(const Instrumentation &instr)
-{
-    FingerprintHasher f;
-    hashHookTable(f, instr.before);
-    hashHookTable(f, instr.after);
-    f.boolean(instr.enableLbrAtMain);
-    f.boolean(instr.enableLcrAtMain);
-    f.u64(instr.lbrSelectMask);
-    f.u64(instr.lcrConfigMask);
-    f.boolean(instr.segfaultProfilesLbr);
-    f.boolean(instr.segfaultProfilesLcr);
-    f.boolean(instr.toggleLbrAroundLibraries);
-    f.boolean(instr.toggleLcrAroundLibraries);
-    f.boolean(instr.cbiEnabled);
-    f.f64(instr.cbiMeanPeriod);
-    f.boolean(instr.cciEnabled);
-    f.f64(instr.cciMeanPeriod);
-    f.boolean(instr.btsEnabled);
-    f.u64(instr.btsSelectMask);
-    f.boolean(instr.pbiEnabled);
-    f.u64(instr.pbiPeriod);
-    f.byte(instr.pbiLoadMask);
-    f.byte(instr.pbiStoreMask);
-    return f.value();
-}
-
-std::uint64_t
 fingerprintHookTables(const Instrumentation &instr)
 {
     FingerprintHasher f;
@@ -181,59 +144,6 @@ memoizedProgramBaseFingerprint(const Program &prog)
     // value returned stays correct either way.
     prog.baseFpMemo.value.store(v, std::memory_order_relaxed);
     return v;
-}
-
-std::uint64_t
-combineFingerprints(std::uint64_t a, std::uint64_t b)
-{
-    FingerprintHasher f;
-    f.u64(a);
-    f.u64(b);
-    return f.value();
-}
-
-std::uint64_t
-fingerprintProgram(const Program &prog)
-{
-    return combineFingerprints(
-        fingerprintProgramBase(prog),
-        fingerprintInstrumentation(prog.instrumentation));
-}
-
-std::uint64_t
-fingerprintProgram(const Program &prog, const Instrumentation &overlay)
-{
-    return combineFingerprints(fingerprintProgramBase(prog),
-                               fingerprintInstrumentation(overlay));
-}
-
-std::uint64_t
-fingerprintMachineOptions(const MachineOptions &opts)
-{
-    FingerprintHasher f;
-    f.u32(opts.sched.quantum);
-    f.f64(opts.sched.preemptSharedProb);
-    // sched.seed deliberately excluded: it is the third component of
-    // the run-cache key.
-    f.u64(opts.lbrEntries);
-    f.u64(opts.lcrEntries);
-    f.u32(opts.cache.sizeBytes);
-    f.u32(opts.cache.assoc);
-    f.u32(opts.cache.blockBytes);
-    f.u64(opts.maxSteps);
-    f.f64(opts.irq.prob);
-    f.u32(opts.irq.handlerStepBudget);
-    f.u64(opts.mainArgs.size());
-    for (Word w : opts.mainArgs)
-        f.i64(w);
-    f.u64(opts.globalOverrides.size());
-    for (const auto &[name, values] : opts.globalOverrides) {
-        f.str(name);
-        f.u64(values.size());
-        for (Word w : values)
-            f.i64(w);
-    }
-    return f.value();
 }
 
 } // namespace stm

@@ -200,9 +200,9 @@ class Program
 
     /**
      * Memo slot for fingerprintProgramBase (0 = not yet computed).
-     * The base digest is O(program) and hashed once per cache probe
-     * by both the run cache and the decode cache, so
-     * memoizedProgramBaseFingerprint() computes it once per Program.
+     * The base digest is O(program) and hashed once per decode-cache
+     * probe, so memoizedProgramBaseFingerprint() computes it once per
+     * Program.
      * Safe because nothing mutates a Program after builder
      * finalization (rebuildDispatchFlags resets the memo as a
      * belt-and-braces measure). Copies start unmemoized.

@@ -18,8 +18,7 @@
  *    ...)`, which reads the program's metadata and writes only the
  *    caller's Instrumentation — the copy-on-write plan a campaign
  *    builds per phase against one immutable base Program (O(sites)
- *    to build, copy, and fingerprint; pass it to Machine as the
- *    overlay argument and to the run cache as the overlay digest);
+ *    to build and copy; pass it to Machine as the overlay argument);
  *  - the legacy in-place form, `apply*(Program &, ...)`, which
  *    forwards to the overlay form targeting prog.instrumentation.
  */

@@ -1,14 +1,8 @@
 /**
  * @file
- * ShardedLru: the one sharded, byte-budgeted, LRU-evicting memo table
- * underneath every cache in the system.
- *
- * Three subsystems need the same structure — the cross-phase RunResult
- * cache (exec/run_cache.hh), the predecoded-operand-stream cache
- * (vm/decode_cache.hh), and the checkpoint SnapshotStore
- * (exec/snapshot_store.hh) — and before this header each carried its
- * own copy of the shard/LRU/collision-chain/eviction machinery. The
- * template owns exactly the shared mechanics:
+ * ShardedLru: a sharded, byte-budgeted, LRU-evicting memo table. The
+ * predecoded-operand-stream cache (vm/decode_cache.hh) is built on it.
+ * The template owns the mechanics:
  *
  *  - **Sharding.** A caller-supplied 64-bit key hash routes to one of
  *    N shards, each with its own mutex, MRU-first list, and
@@ -16,27 +10,17 @@
  *    the cache in parallel with minimal contention.
  *  - **Byte budget.** The total budget splits evenly across shards;
  *    inserts evict least-recently-used entries until the new entry
- *    fits. A value bigger than a whole shard budget is rejected
- *    (`oversize`) rather than wiping the shard for one entry.
- *  - **Shared accounting.** Counters hits / misses / inserts /
- *    evictions / oversize accumulate in one StatGroup; wrappers add
- *    their own extras (e.g. the run cache's `verified`) through
- *    bumpCounter() and pick which names their statsSnapshot exposes,
- *    so the pre-factoring counter names stay stable.
+ *    fits. A value bigger than a whole shard budget is handed out
+ *    uncached (`oversize`) rather than wiping the shard for one entry.
+ *  - **Accounting.** Counters hits / misses / evictions / oversize
+ *    accumulate in one StatGroup.
  *
- * What stays in the wrappers: key hashing and equality, byte
- * estimation, trace-instant emission (each cache has its own TraceId
- * triple with its own payload convention), and policy such as verify
- * mode. Operations therefore return an LruOutcome describing what
- * happened so the wrapper can emit its instants after the fact.
- *
- * Two access idioms are supported:
- *  - lookup()/insert() — the run-cache shape, where the value is
- *    produced outside any lock and a racing insert keeps the first
- *    value (or replaces it, for stores whose values supersede).
- *  - acquire() — the decode-cache shape, where the value is built
- *    UNDER the shard lock on a miss so concurrent callers with one
- *    key build exactly once. Builds must not re-enter the cache.
+ * What stays in the wrapper: key hashing and equality, byte
+ * estimation and trace-instant emission. acquire() therefore returns
+ * an LruOutcome describing what happened so the wrapper can emit its
+ * instants after the fact. acquire() builds the value UNDER the shard
+ * lock on a miss, so concurrent callers with one key build exactly
+ * once. Builds must not re-enter the cache.
  */
 
 #ifndef STM_SUPPORT_SHARDED_LRU_HH
@@ -61,9 +45,6 @@ namespace stm
 struct LruOutcome
 {
     bool hit = false;      //!< acquire(): served from cache
-    bool inserted = false; //!< entry now present with the new value
-    bool replaced = false; //!< an existing entry was superseded
-    bool raced = false;    //!< key already present; kept the old value
     bool oversize = false; //!< rejected: bytes exceed the shard budget
     std::uint64_t evicted = 0;      //!< LRU victims dropped
     std::uint64_t evictedBytes = 0; //!< bytes those victims held
@@ -73,9 +54,8 @@ struct LruOutcome
  * Sharded, bounded, LRU-evicting map Key → Value.
  *
  * @tparam Key     copyable, equality-comparable cache key
- * @tparam Value   copyable payload (caches store shared_ptrs or
- *                 values; lookup copies the stored Value out under
- *                 the shard lock)
+ * @tparam Value   copyable payload (acquire copies the stored Value
+ *                 out under the shard lock)
  * @tparam KeyHash callable mapping Key → uint64 (a content digest;
  *                 also used to find eviction victims' chains)
  */
@@ -85,7 +65,7 @@ class ShardedLru
   public:
     /**
      * @param statGroupName StatGroup name for the shared counters
-     *        (e.g. "exec.run_cache").
+     *        (e.g. "vm.decode_cache").
      * @param maxBytes total byte budget, split evenly across shards.
      * @param shards shard count (clamped to >= 1).
      */
@@ -106,89 +86,13 @@ class ShardedLru
     ShardedLru(const ShardedLru &) = delete;
     ShardedLru &operator=(const ShardedLru &) = delete;
 
-    /** Per-shard byte budget (the oversize threshold). */
-    std::size_t shardBudget() const { return shardBudget_; }
-
-    /**
-     * Copy the value for @p key into @p out and return true; false on
-     * miss. A hit refreshes the entry's LRU position. Bumps hits or
-     * misses.
-     */
-    bool
-    lookup(const Key &key, Value &out)
-    {
-        std::uint64_t hash = KeyHash{}(key);
-        Shard &shard = shardFor(hash);
-        {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (Entry *entry = findEntry(shard, hash, key)) {
-                out = entry->value;
-                bumpCounter("hits");
-                return true;
-            }
-        }
-        bumpCounter("misses");
-        return false;
-    }
-
-    /**
-     * Insert @p value under @p key, evicting LRU entries until it
-     * fits. When the key is already present: keeps the old value
-     * (outcome.raced) unless @p replaceExisting, which swaps in the
-     * new value and re-budgets (outcome.replaced). A value bigger
-     * than the shard budget is rejected (outcome.oversize). Bumps
-     * inserts / evictions / oversize.
-     */
-    LruOutcome
-    insert(const Key &key, Value value, std::size_t bytes,
-           bool replaceExisting = false)
-    {
-        LruOutcome outcome;
-        if (bytes > shardBudget_) {
-            outcome.oversize = true;
-            bumpCounter("oversize");
-            return outcome;
-        }
-        std::uint64_t hash = KeyHash{}(key);
-        Shard &shard = shardFor(hash);
-        {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (Entry *entry = findEntry(shard, hash, key)) {
-                if (!replaceExisting) {
-                    outcome.raced = true;
-                    return outcome;
-                }
-                shard.bytes -= entry->bytes;
-                entry->value = std::move(value);
-                entry->bytes = bytes;
-                evictUntilFits(shard, bytes, outcome);
-                shard.bytes += bytes;
-                outcome.inserted = true;
-                outcome.replaced = true;
-            } else {
-                evictUntilFits(shard, bytes, outcome);
-                shard.lru.push_front(
-                    Entry{key, std::move(value), bytes});
-                shard.index[hash].push_back(shard.lru.begin());
-                shard.bytes += bytes;
-                outcome.inserted = true;
-            }
-        }
-        bumpCounter("inserts");
-        if (outcome.evicted > 0)
-            bumpCounter("evictions", outcome.evicted);
-        return outcome;
-    }
-
     /**
      * The value for @p key: served from cache on a hit
      * (outcome.hit), else built by @p build UNDER the shard lock —
      * concurrent callers with one key build exactly once — and
      * inserted with LRU eviction. @p build returns
      * {value, approxBytes}; an oversize build is handed out uncached
-     * (outcome.oversize). Bumps hits / misses / evictions / oversize
-     * (note: no inserts — the build-on-miss idiom counts misses
-     * instead).
+     * (outcome.oversize). Bumps hits / misses / evictions / oversize.
      */
     template <typename Build>
     std::pair<Value, LruOutcome>
@@ -216,32 +120,9 @@ class ShardedLru
         shard.lru.push_front(Entry{key, value, bytes});
         shard.index[hash].push_back(shard.lru.begin());
         shard.bytes += bytes;
-        outcome.inserted = true;
         if (outcome.evicted > 0)
             bumpCounter("evictions", outcome.evicted);
         return {std::move(value), outcome};
-    }
-
-    /**
-     * Visit the value for @p key under the shard lock (no LRU
-     * refresh, no counters — a read-side peek for stores that must
-     * inspect without perturbing accounting). Returns false on miss.
-     */
-    template <typename Visit>
-    bool
-    peek(const Key &key, Visit &&visit) const
-    {
-        std::uint64_t hash = KeyHash{}(key);
-        const Shard &shard =
-            *shards_[hash % shards_.size()];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const Entry &entry : shard.lru) {
-            if (entry.key == key) {
-                visit(entry.value);
-                return true;
-            }
-        }
-        return false;
     }
 
     /** Entries currently retained, summed over shards. */
@@ -280,26 +161,9 @@ class ShardedLru
         }
     }
 
-    /** Bump a counter by name (wrapper extras like "verified"). */
-    void
-    bumpCounter(const char *stat, std::uint64_t n = 1)
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        stats_.counter(stat) += n;
-    }
-
-    /** Current value of one shared counter. */
-    std::uint64_t
-    counterValue(const char *stat) const
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        return stats_.value(stat);
-    }
-
     /**
      * Snapshot of the cumulative statistics under @p groupName,
-     * exposing exactly @p counterNames plus entries/bytes gauges —
-     * each wrapper keeps its historical counter set.
+     * exposing exactly @p counterNames plus entries/bytes gauges.
      */
     StatGroup
     statsSnapshot(const std::string &groupName,
@@ -335,6 +199,13 @@ class ShardedLru
             index; //!< key hash → entries (collision chain)
         std::size_t bytes = 0;
     };
+
+    void
+    bumpCounter(const char *stat, std::uint64_t n = 1)
+    {
+        std::lock_guard<std::mutex> lock(statsMu_);
+        stats_.counter(stat) += n;
+    }
 
     Shard &
     shardFor(std::uint64_t hash)

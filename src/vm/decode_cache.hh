@@ -9,7 +9,7 @@
  *
  *     (base-program fp, hook-table fp, fusion flag) → DecodedProgram
  *
- * and the properties the run cache established carry over:
+ * with these properties:
  *
  *  - **Shared across runs and threads.** Entries are
  *    shared_ptr<const DecodedProgram>; every concurrent Machine in a
@@ -24,10 +24,9 @@
  *    eviction; a stream bigger than a whole shard budget is returned
  *    uncached (counted `oversize`).
  *
- * The shard/LRU/eviction mechanics live in support/sharded_lru.hh
- * (shared with the run cache and the SnapshotStore); the build-on-miss
- * path uses its acquire() idiom, which holds the shard lock across
- * the predecode so concurrent campaigns build exactly once.
+ * The shard/LRU/eviction mechanics live in support/sharded_lru.hh;
+ * its acquire() holds the shard lock across the predecode so
+ * concurrent campaigns build exactly once.
  *
  * Statistics are a StatGroup ("vm.decode_cache": hits, misses,
  * evictions, oversize; entries/bytes gauges) and the hit/miss/evict

@@ -41,16 +41,6 @@ Machine::Machine(ProgramPtr prog, MachineOptions opts,
     globalsEnd_ = prog_->globalsEnd();
 }
 
-Machine::Machine(ProgramPtr prog, MachineOptions opts,
-                 std::shared_ptr<const Instrumentation> overlay,
-                 MachineCheckpointPtr resume_from)
-    : Machine(std::move(prog), std::move(opts), std::move(overlay))
-{
-    resumeFrom_ = std::move(resume_from);
-    if (!resumeFrom_)
-        fatal("Machine resume constructor requires a checkpoint");
-}
-
 Machine::~Machine() = default;
 
 Pmu &
@@ -341,17 +331,8 @@ Machine::profileOnFault(ThreadId tid)
 }
 
 void
-Machine::bootOrRestore()
+Machine::boot()
 {
-    if (booted_)
-        return;
-    booted_ = true;
-
-    if (resumeFrom_) {
-        restoreFromCheckpoint(*resumeFrom_);
-        return;
-    }
-
     prepareDispatch();
     initMemoryImage();
 
@@ -379,150 +360,28 @@ Machine::bootOrRestore()
     }
     result_.stats.setupInstructions =
         result_.stats.instrumentationInstructions;
-
-    schedCurrent_ = 0;
-    schedQuantumLeft_ = opts_.sched.quantum;
-}
-
-void
-Machine::restoreFromCheckpoint(const MachineCheckpoint &ckpt)
-{
-    // The run's identity (program, decoded stream, dispatch mode) is
-    // reconstructed, not restored: the checkpoint only carries the
-    // mutable trajectory state.
-    prepareDispatch();
-
-    rng_ = ckpt.rng;
-    if (ckpt.pmus.size() != ckpt.threads.size())
-        fatal("malformed checkpoint: {} threads but {} PMUs",
-              ckpt.threads.size(), ckpt.pmus.size());
-    const bool pbi = instr_->pbiEnabled;
-    for (std::size_t i = 0; i < ckpt.threads.size(); ++i) {
-        threads_.push_back(
-            std::make_unique<Thread>(ckpt.threads[i]));
-        auto pmu = std::make_unique<Pmu>(opts_.lbrEntries);
-        pmu->lbr() = ckpt.pmus[i].lbr;
-        for (std::size_t c = 0; c < Pmu::kNumCounters; ++c) {
-            // Counters 0/1 are the PBI pair (spawnThread); they get
-            // this Machine's sampler binding, with the checkpointed
-            // jitter/threshold state preserved so the resumed run
-            // samples the exact events the original would have.
-            bool sampled = pbi && c < 2;
-            pmu->counter(c).restoreState(
-                ckpt.pmus[i].counters[c],
-                sampled ? pbiSampler()
-                        : PerfCounter::OverflowHandler{});
-        }
-        pmus_.push_back(std::move(pmu));
-        bus_.addCore(static_cast<std::uint32_t>(i));
-    }
-    bus_.restoreState(ckpt.bus);
-    lcr_ = ckpt.lcr;
-    bts_ = ckpt.bts;
-    memory_.restore(ckpt.memory);
-    heapBrk_ = ckpt.heapBrk;
-    stackSpan_ = ckpt.stackSpan;
-    mutexes_ = ckpt.mutexes;
-    steps_ = ckpt.step;
-    kernelSteps_ = ckpt.kernelSteps;
-    irqDelivered_ = ckpt.irqDelivered;
-    irqHandlerSteps_ = ckpt.irqHandlerSteps;
-    fusedPairs_ = ckpt.fusedPairs;
-    result_ = ckpt.result;
-    schedCurrent_ = ckpt.schedCurrent;
-    schedQuantumLeft_ = ckpt.schedQuantumLeft;
-    lastCkptStep_ = ckpt.step;
-    ended_ = false;
-}
-
-MachineCheckpointPtr
-Machine::checkpoint()
-{
-    if (!booted_) {
-        // Not yet running: the resume point itself, or a boot-state
-        // capture for a fresh machine.
-        if (resumeFrom_)
-            return resumeFrom_;
-        bootOrRestore();
-    }
-    auto ck = std::make_shared<MachineCheckpoint>();
-    ck->step = steps_;
-    ck->schedCurrent = schedCurrent_;
-    ck->schedQuantumLeft = schedQuantumLeft_;
-    ck->rng = rng_;
-    ck->threads.reserve(threads_.size());
-    for (const auto &t : threads_)
-        ck->threads.push_back(*t);
-    ck->mutexes = mutexes_;
-    ck->pmus.reserve(pmus_.size());
-    for (const auto &p : pmus_) {
-        PmuSnapshot ps;
-        ps.lbr = p->lbr();
-        for (std::size_t c = 0; c < Pmu::kNumCounters; ++c)
-            ps.counters[c] = p->counter(c).snapshotState();
-        ck->pmus.push_back(std::move(ps));
-    }
-    ck->lcr = lcr_;
-    ck->bts = bts_;
-    ck->bus = bus_.snapshotState();
-    ck->memory = memory_.fork();
-    ck->heapBrk = heapBrk_;
-    ck->stackSpan = stackSpan_;
-    ck->kernelSteps = kernelSteps_;
-    ck->irqDelivered = irqDelivered_;
-    ck->irqHandlerSteps = irqHandlerSteps_;
-    ck->fusedPairs = fusedPairs_;
-    ck->result = result_;
-    return ck;
-}
-
-void
-Machine::enableCheckpoints(
-    std::uint64_t every_steps,
-    std::function<void(MachineCheckpointPtr)> sink)
-{
-    ckptEvery_ = every_steps;
-    ckptSink_ = std::move(sink);
-}
-
-MachineCheckpointPtr
-Machine::runToStep(std::uint64_t step)
-{
-    bootOrRestore();
-    if (ended_)
-        return nullptr;
-    pauseAtStep_ = step;
-    paused_ = false;
-    schedLoop();
-    pauseAtStep_ = ~std::uint64_t{0};
-    if (!paused_)
-        return nullptr; // the run ended first
-    paused_ = false;
-    return checkpoint();
 }
 
 void
 Machine::schedLoop()
 {
     const std::uint64_t maxSteps = opts_.maxSteps;
+    ThreadId current = 0;
+    std::uint32_t quantumLeft = opts_.sched.quantum;
 
     while (!ended_) {
-        if (steps_ >= pauseAtStep_) [[unlikely]] {
-            paused_ = true;
-            return;
-        }
         if (steps_ >= maxSteps) [[unlikely]] {
             // Hang: the "paste"-style symptom. Profile whoever runs.
-            profileOnFault(schedCurrent_);
-            endRun(RunOutcome::StepLimit, schedCurrent_,
-                   threadRef(schedCurrent_).pc, kSegfaultSite,
+            profileOnFault(current);
+            endRun(RunOutcome::StepLimit, current,
+                   threadRef(current).pc, kSegfaultSite,
                    "step limit exceeded (hang)");
             return;
         }
 
-        Thread &t = *threads_[schedCurrent_];
-        if (!t.runnable() || schedQuantumLeft_ == 0) {
-            ThreadId next = pickNext(schedCurrent_);
+        Thread &t = *threads_[current];
+        if (!t.runnable() || quantumLeft == 0) {
+            ThreadId next = pickNext(current);
             if (!threadRef(next).runnable()) {
                 bool allDone = true;
                 for (const auto &th : threads_) {
@@ -532,38 +391,27 @@ Machine::schedLoop()
                     }
                 }
                 if (allDone) {
-                    endRun(RunOutcome::Completed, schedCurrent_, 0, 0,
-                           "");
+                    endRun(RunOutcome::Completed, current, 0, 0, "");
                 } else {
                     profileOnFault(0);
-                    endRun(RunOutcome::Deadlock, schedCurrent_,
-                           threadRef(schedCurrent_).pc, kSegfaultSite,
+                    endRun(RunOutcome::Deadlock, current,
+                           threadRef(current).pc, kSegfaultSite,
                            "deadlock: all live threads blocked");
                 }
                 return;
             }
-            if (next != schedCurrent_)
+            if (next != current)
                 ++result_.stats.contextSwitches;
-            schedCurrent_ = next;
-            schedQuantumLeft_ = opts_.sched.quantum;
-            // Periodic capture sits at the quantum boundary: every
-            // member the per-step protocol reads is consistent here,
-            // and the capture itself draws no RNG and charges no
-            // instructions, so recording checkpoints never perturbs
-            // the trajectory.
-            if (ckptEvery_ != 0 && ckptSink_ &&
-                steps_ - lastCkptStep_ >= ckptEvery_) [[unlikely]] {
-                lastCkptStep_ = steps_;
-                ckptSink_(checkpoint());
-            }
+            current = next;
+            quantumLeft = opts_.sched.quantum;
             continue;
         }
 
-        StepStatus status = runQuantum(t, schedQuantumLeft_);
+        StepStatus status = runQuantum(t, quantumLeft);
         if (status == StepStatus::RunEnded)
-            return; // outcome decided, or paused_ set mid-quantum
+            return;
         if (status == StepStatus::SwitchThread)
-            schedQuantumLeft_ = 0;
+            quantumLeft = 0;
         // Continue: the quantum expired; reschedule above.
     }
 }
@@ -574,7 +422,7 @@ Machine::run()
     auto runStart = std::chrono::steady_clock::now();
     obs::TraceSpan runSpan(obs::TraceCategory::Vm, obs::TraceId::VmRun,
                            opts_.sched.seed);
-    bootOrRestore();
+    boot();
     schedLoop();
 
     if (!ended_)
@@ -670,7 +518,7 @@ Machine::execSync(Thread &t, const Instruction &inst)
         Word one = 1;
         if (!dataAccess(t.id, layout::codeAddr(pc), addr, true, &one))
             return StepStatus::RunEnded;
-        MachineMutex &mutex = mutexes_[addr];
+        Mutex &mutex = mutexes_[addr];
         if (mutex.locked && mutex.owner != t.id) {
             t.state = ThreadState::BlockedOnMutex;
             t.waitMutex = addr;
@@ -693,7 +541,7 @@ Machine::execSync(Thread &t, const Instruction &inst)
                         &zero)) {
             return StepStatus::RunEnded;
         }
-        MachineMutex &mutex = mutexes_[addr];
+        Mutex &mutex = mutexes_[addr];
         mutex.locked = false;
         for (auto &other : threads_) {
             if (other->state == ThreadState::BlockedOnMutex &&
@@ -1149,8 +997,8 @@ Machine::cbiSample(Thread &t, const Hook &hook)
 void
 Machine::recordCbiVisits()
 {
-    if (booted_ || resumeFrom_)
-        panic("recordCbiVisits must precede a booting run");
+    if (!threads_.empty())
+        panic("recordCbiVisits must precede run()");
     cbiVisits_ = std::make_unique<std::vector<CbiVisit>>();
 }
 

@@ -20,7 +20,6 @@
 #define STM_VM_MACHINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "hw/lcr.hh"
 #include "hw/pmu.hh"
 #include "program/program.hh"
-#include "vm/checkpoint.hh"
 #include "vm/decoded_program.hh"
 #include "vm/memory_image.hh"
 #include "vm/options.hh"
@@ -91,20 +89,6 @@ class Machine
     Machine(ProgramPtr prog, MachineOptions opts = {},
             std::shared_ptr<const Instrumentation> overlay = nullptr);
 
-    /**
-     * Construct a Machine that resumes from @p resume_from instead of
-     * booting: the first run()/runToStep() call adopts the
-     * checkpoint's state and continues the run mid-stream. The
-     * checkpoint must have been captured under the same program
-     * content, options, and seed (the SnapshotStore keys enforce
-     * this); the instrumentation plan may differ only when the plan
-     * swap leaves the already-executed prefix's hook firings
-     * unchanged (DESIGN.md §16).
-     */
-    Machine(ProgramPtr prog, MachineOptions opts,
-            std::shared_ptr<const Instrumentation> overlay,
-            MachineCheckpointPtr resume_from);
-
     ~Machine();
 
     Machine(const Machine &) = delete;
@@ -114,42 +98,10 @@ class Machine
     RunResult run();
 
     /**
-     * Run (or continue running) until exactly @p step instructions
-     * have retired, then pause at the step boundary — before the
-     * step's bounds check, IRQ draw, preemption probe, and hooks —
-     * and return a checkpoint of the paused state. Returns null if
-     * the run ended before reaching @p step (call run() afterwards —
-     * or beforehand — for the finished RunResult; runToStep may be
-     * called repeatedly with increasing steps, and run() finishes
-     * the run from wherever the last pause left it).
-     */
-    MachineCheckpointPtr runToStep(std::uint64_t step);
-
-    /**
-     * Arm periodic checkpointing: capture a checkpoint at the first
-     * quantum boundary at or after every multiple of @p every_steps
-     * and hand it to @p sink. Capture never perturbs the run (no RNG
-     * draws, no instruction charges); the CoW fork prices each
-     * capture at O(pages touched since the previous one). Call
-     * before run().
-     */
-    void enableCheckpoints(
-        std::uint64_t every_steps,
-        std::function<void(MachineCheckpointPtr)> sink);
-
-    /**
-     * Capture the complete deterministic machine state. Valid at step
-     * boundaries only: before the first run() call (for a resumed
-     * construction, that means the resume point itself), at a
-     * runToStep() pause, or from an enableCheckpoints sink.
-     */
-    MachineCheckpointPtr checkpoint();
-
-    /**
      * Record every CBI site visit of this run as (site, predicate
-     * outcome). Call before run(), on a booting (not resuming)
-     * Machine. Recording draws nothing and charges nothing, so run()
-     * returns the RunResult it would return unrecorded.
+     * outcome). Call before run(). Recording draws nothing and
+     * charges nothing, so run() returns the RunResult it would return
+     * unrecorded.
      */
     void recordCbiVisits();
 
@@ -218,22 +170,12 @@ class Machine
     void initMemoryImage();
 
     /**
-     * One-time run setup: normal boot (dispatch + memory image +
-     * main thread + instrumentation-at-main) or, for a resumed
-     * construction, checkpoint adoption. Idempotent across
-     * runToStep()/run() calls.
+     * Run setup: dispatch, memory image, main thread and the
+     * instrumentation inserted at the entry of main.
      */
-    void bootOrRestore();
+    void boot();
 
-    /** Adopt @p ckpt wholesale (the resume half of bootOrRestore). */
-    void restoreFromCheckpoint(const MachineCheckpoint &ckpt);
-
-    /**
-     * The scheduler loop (quantum picking + dispatch), factored out
-     * of run() so runToStep() can drive it to a pause and run() can
-     * later finish the same run. Leaves paused_ set when the loop
-     * stopped at pauseAtStep_ rather than at an outcome.
-     */
+    /** The scheduler loop: pick quanta and dispatch until an outcome. */
     void schedLoop();
 
     /** The PBI overflow sampler bound to this Machine. */
@@ -296,21 +238,6 @@ class Machine
 
     /** Step-limit hang: profile whoever runs and end the run. */
     StepStatus stepLimitHang(Thread &thread);
-
-    /**
-     * The interpreter loops' combined limit handler: the hoisted
-     * per-quantum limit is min(opts_.maxSteps, pauseAtStep_), so a
-     * trip here is either a requested pause (steps_ == pauseAtStep_,
-     * state untouched, resumable) or the real step-limit hang.
-     */
-    StepStatus
-    stepLimit(Thread &thread)
-    {
-        if (steps_ >= opts_.maxSteps)
-            return stepLimitHang(thread);
-        paused_ = true;
-        return StepStatus::RunEnded;
-    }
 
     void runHooks(Thread &thread, const std::vector<Hook> &hooks);
     void cbiSample(Thread &thread, const Hook &hook);
@@ -403,31 +330,17 @@ class Machine
     /** Bytes of the contiguous live-stack span (threads are dense). */
     Addr stackSpan_ = 0;
 
-    std::unordered_map<Addr, MachineMutex> mutexes_;
+    /** One simulated futex word's state. */
+    struct Mutex
+    {
+        bool locked = false;
+        ThreadId owner = 0;
+    };
+    std::unordered_map<Addr, Mutex> mutexes_;
 
     RunResult result_;
     bool ended_ = false;
     std::uint64_t steps_ = 0;
-
-    // ---- scheduler position (members, not run() locals, so
-    //      checkpoint() can capture mid-run) ----
-    ThreadId schedCurrent_ = 0;
-    std::uint32_t schedQuantumLeft_ = 0;
-
-    // ---- checkpoint / resume plumbing ----
-    /** Adopted by the first bootOrRestore(); null for normal boots. */
-    MachineCheckpointPtr resumeFrom_;
-    /** bootOrRestore() has run (run setup must happen exactly once). */
-    bool booted_ = false;
-    /** schedLoop stopped at pauseAtStep_, not at an outcome. */
-    bool paused_ = false;
-    /** Pause boundary for runToStep (no pause when all-ones). */
-    std::uint64_t pauseAtStep_ = ~std::uint64_t{0};
-    /** Periodic-capture interval in steps (0 = disarmed). */
-    std::uint64_t ckptEvery_ = 0;
-    /** steps_ at the last periodic capture. */
-    std::uint64_t lastCkptStep_ = 0;
-    std::function<void(MachineCheckpointPtr)> ckptSink_;
 };
 
 } // namespace stm

@@ -1,42 +1,9 @@
 #include "vm/memory_image.hh"
 
-#include <cstring>
-
 #include "support/logging.hh"
 
 namespace stm
 {
-
-namespace
-{
-
-std::size_t
-segmentPageCount(const std::vector<std::shared_ptr<Word[]>> &pages)
-{
-    std::size_t n = 0;
-    for (const auto &page : pages) {
-        if (page)
-            ++n;
-    }
-    return n;
-}
-
-} // namespace
-
-std::size_t
-MemorySnapshot::pageCount() const
-{
-    return segmentPageCount(globals) + segmentPageCount(heap) +
-           segmentPageCount(stacks);
-}
-
-std::size_t
-MemorySnapshot::approxBytes() const
-{
-    return pageCount() * MemoryImage::kPageBytes +
-           (globals.capacity() + heap.capacity() + stacks.capacity()) *
-               sizeof(std::shared_ptr<Word[]>);
-}
 
 MemoryImage::MemoryImage()
     // An impossible page base (not page-aligned) so the first access
@@ -60,7 +27,7 @@ MemoryImage::segmentFor(Addr addr)
     panic("memory image access outside any data segment: 0x{}", addr);
 }
 
-std::shared_ptr<Word[]> &
+Word *
 MemoryImage::materialize(Addr addr)
 {
     Segment &seg = segmentFor(addr);
@@ -71,66 +38,25 @@ MemoryImage::materialize(Addr addr)
     if (!seg.pages[index]) {
         // Zero-filled materialization: a never-written word reads 0,
         // exactly like the seed's absent hash-map entry.
-        seg.pages[index] = std::make_shared<Word[]>(kPageWords);
+        seg.pages[index] = std::make_unique<Word[]>(kPageWords);
     }
-    return seg.pages[index];
+    return seg.pages[index].get();
 }
 
 Word
 MemoryImage::loadSlow(Addr addr, Addr page)
 {
-    std::shared_ptr<Word[]> &slot = materialize(addr);
-    // Cache only exclusively-owned pages: the cache serves stores
-    // too, so a co-owned page must keep routing through storeSlow's
-    // copy-on-write check.
-    if (slot.use_count() == 1) {
-        cachedPageBase_ = page;
-        cachedPage_ = slot.get();
-    }
-    return slot[(addr & kPageMask) >> 3];
+    cachedPageBase_ = page;
+    cachedPage_ = materialize(addr);
+    return cachedPage_[(addr & kPageMask) >> 3];
 }
 
 void
 MemoryImage::storeSlow(Addr addr, Addr page, Word value)
 {
-    std::shared_ptr<Word[]> &slot = materialize(addr);
-    if (slot.use_count() > 1) {
-        // Privatize: another owner (a checkpoint) holds this page.
-        auto copy = std::make_shared<Word[]>(kPageWords);
-        std::memcpy(copy.get(), slot.get(), kPageBytes);
-        slot = std::move(copy);
-    }
     cachedPageBase_ = page;
-    cachedPage_ = slot.get();
+    cachedPage_ = materialize(addr);
     cachedPage_[(addr & kPageMask) >> 3] = value;
-}
-
-MemorySnapshot
-MemoryImage::fork()
-{
-    MemorySnapshot snap;
-    snap.globals = globals_.pages;
-    snap.heap = heap_.pages;
-    snap.stacks = stacks_.pages;
-    snap.accesses = accesses_;
-    snap.fastHits = fastHits_;
-    // Every page is now co-owned; the next store to each must
-    // privatize, so the write-capable translation cache must miss.
-    cachedPageBase_ = ~Addr{0};
-    cachedPage_ = nullptr;
-    return snap;
-}
-
-void
-MemoryImage::restore(const MemorySnapshot &snap)
-{
-    globals_.pages = snap.globals;
-    heap_.pages = snap.heap;
-    stacks_.pages = snap.stacks;
-    accesses_ = snap.accesses;
-    fastHits_ = snap.fastHits;
-    cachedPageBase_ = ~Addr{0};
-    cachedPage_ = nullptr;
 }
 
 } // namespace stm

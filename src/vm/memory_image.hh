@@ -1,7 +1,6 @@
 /**
  * @file
- * The flat paged data-memory image of one simulated machine, with
- * copy-on-write page sharing for O(dirty-pages) checkpointing.
+ * The flat paged data-memory image of one simulated machine.
  *
  * Replaces the seed's `unordered_map<Addr, Word>` with a direct-mapped
  * page table over the fixed address-space layout (isa/types.hh): one
@@ -9,24 +8,13 @@
  * `(addr - segment base) >> kPageShift`. Pages are zero-filled and
  * materialized on first touch, which preserves the map's semantics
  * exactly — a never-written valid word reads as 0 — while making the
- * common access shift + mask + load.
- *
- * Pages are refcounted (`shared_ptr<Word[]>`). fork() snapshots the
- * whole image by copying the page *tables* — O(pages), bumping every
- * page's refcount — so a checkpoint costs nothing per untouched page.
- * A store privatizes its page first when the refcount shows another
- * owner (checkpoint or forked sibling): copy the 4 KiB once, then
- * write in place forever after. Fork cost is therefore O(pages
- * touched since the last fork), not O(memory).
+ * common access shift + mask + load. Each page is owned by its image
+ * alone.
  *
  * A one-entry translation cache (the last page touched) short-circuits
  * the segment dispatch entirely for the dominant same-page access
  * streams (stack frames, array walks); its hit rate is exported as the
- * `vm.mem_fast_rate` gauge. The cache is *write-capable*, so it may
- * only ever hold an exclusively-owned page — a cached shared page
- * would let stores bypass the copy-on-write check. Loads of shared
- * pages are served uncached, and fork() invalidates the cache because
- * it shares every page.
+ * `vm.mem_fast_rate` gauge.
  *
  * *Validity* is not this class's job: the Machine checks segment
  * bounds (globals end, heap brk, live stack spans) before touching the
@@ -46,26 +34,6 @@
 
 namespace stm
 {
-
-/**
- * An immutable snapshot of one MemoryImage: the three segments' page
- * tables with every page co-owned. Cheap to copy (vector of
- * refcounted pointers); the pages themselves are frozen by the CoW
- * discipline — any writer privatizes before touching them.
- */
-struct MemorySnapshot
-{
-    std::vector<std::shared_ptr<Word[]>> globals;
-    std::vector<std::shared_ptr<Word[]>> heap;
-    std::vector<std::shared_ptr<Word[]>> stacks;
-    std::uint64_t accesses = 0;
-    std::uint64_t fastHits = 0;
-
-    /** Materialized pages across all three segments. */
-    std::size_t pageCount() const;
-    /** Retained bytes if this snapshot were the sole page owner. */
-    std::size_t approxBytes() const;
-};
 
 /** Paged data memory for one Machine (word-granular, 8-byte cells). */
 class MemoryImage
@@ -108,20 +76,6 @@ class MemoryImage
         storeSlow(addr, page, value);
     }
 
-    /**
-     * Snapshot the image by sharing every materialized page
-     * (O(pages) pointer copies — no page data moves). Invalidates the
-     * translation cache: formerly-exclusive pages are now co-owned,
-     * so the next store to each privatizes it.
-     */
-    MemorySnapshot fork();
-
-    /**
-     * Adopt @p snap's pages, discarding the current contents. The
-     * snapshot stays valid (pages are co-owned until written).
-     */
-    void restore(const MemorySnapshot &snap);
-
     /** Total accesses routed through the image. */
     std::uint64_t accesses() const { return accesses_; }
     /** Accesses that hit the one-entry translation cache. */
@@ -132,21 +86,21 @@ class MemoryImage
     struct Segment
     {
         Addr base = 0;
-        std::vector<std::shared_ptr<Word[]>> pages;
+        std::vector<std::unique_ptr<Word[]>> pages;
     };
 
     Word loadSlow(Addr addr, Addr page);
     void storeSlow(Addr addr, Addr page, Word value);
     Segment &segmentFor(Addr addr);
-    std::shared_ptr<Word[]> &materialize(Addr addr);
+    /** The page holding @p addr, zero-filled on first touch. */
+    Word *materialize(Addr addr);
 
     Segment globals_;
     Segment heap_;
     Segment stacks_;
 
     // One-entry translation cache: base address of the last page
-    // touched and the page's storage. Only ever holds a page this
-    // image owns exclusively (see file comment).
+    // touched and the page's storage.
     Addr cachedPageBase_;
     Word *cachedPage_ = nullptr;
 

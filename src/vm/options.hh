@@ -95,10 +95,9 @@ struct MachineOptions
     InterruptOptions irq;
 
     /**
-     * Dispatch mechanism knobs. Result-invariant by construction, so
-     * deliberately NOT part of fingerprintMachineOptions(): a run
-     * cached under threaded dispatch may be served to a switch-mode
-     * campaign and vice versa.
+     * Dispatch mechanism knobs. Result-invariant by construction: a
+     * run under threaded dispatch returns the RunResult a switch-mode
+     * run returns.
      */
     DispatchMode dispatch = DispatchMode::Auto;
     /** Fuse profile-selected superinstructions at predecode time. */

@@ -172,8 +172,8 @@ struct RunResult
     }
 
     /**
-     * Bit-exact equality over every observable field; the run cache's
-     * verify mode leans on this to assert replay identity.
+     * Bit-exact equality over every observable field; determinism
+     * tests lean on this to assert replay identity.
      */
     bool operator==(const RunResult &) const = default;
 

@@ -71,7 +71,7 @@ class CbiCountdown
     std::uint32_t left_ = 0;
 };
 
-/** See the file comment. Copyable: checkpoints carry it whole. */
+/** See the file comment. */
 class SeedStream
 {
   public:

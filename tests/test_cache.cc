@@ -277,21 +277,14 @@ TEST(L1Cache, RecycledStorageLeaksNoState)
     small.sizeBytes = 1024; // 8 sets x 2 ways
     const Addr kBlocks = 3000; // every set of the default geometry
     {
-        // Dirty caches of both geometries, one restored from a
-        // snapshot (which marks every set), all destroyed together.
+        // Dirty caches of both geometries, all destroyed together.
         L1Cache filled(0, CacheGeometry{});
         fillBlocks(filled, kBlocks);
-        L1Cache source(1, CacheGeometry{});
-        fillBlocks(source, kBlocks / 2);
-        source.snoopWrite(1);
-        L1Cache restored(2, CacheGeometry{});
-        restored.restoreState(source.snapshotState());
-        ASSERT_NE(restored.stateOf((kBlocks / 2 - 1) * 64),
-                  MesiState::Invalid);
-        L1Cache tinySource(3, small);
-        fillBlocks(tinySource, 40);
-        L1Cache tiny(4, small); // 8 sets: a partial bitmap word
-        tiny.restoreState(tinySource.snapshotState());
+        L1Cache half(1, CacheGeometry{});
+        fillBlocks(half, kBlocks / 2);
+        half.snoopWrite(1);
+        L1Cache tiny(2, small); // 8 sets: a partial bitmap word
+        fillBlocks(tiny, 40);
     }
     for (int round = 0; round < 2; ++round) {
         // The newest free-list entries are the caches above; both
@@ -306,7 +299,7 @@ TEST(L1Cache, RecycledStorageLeaksNoState)
         }
         // Dirty them again for the second round.
         fillBlocks(a, kBlocks);
-        c.restoreState(a.snapshotState());
+        fillBlocks(c, kBlocks / 2);
         fillBlocks(d, 40);
     }
 }

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "obs/trace_io.hh"
@@ -463,9 +464,26 @@ TEST_F(ObsTest, SummarizeMatchesSpansPerThread)
 
 TEST_F(ObsTest, NamesAreUniqueAndStable)
 {
+    // The id table of dump version 2: a dump stores raw ids, so any
+    // change here must come with a kTraceVersion bump.
+    const std::vector<std::string> table = {
+        "vm.run", "vm.quantum",
+        "exec.batch", "exec.task_claim", "exec.task", "exec.task_finish",
+        "exec.task_discard",
+        "fleet.ingest", "fleet.duplicate", "fleet.drop",
+        "fleet.decode_error", "fleet.drain", "fleet.rescore",
+        "diag.pin_search", "diag.reinstrument", "diag.failure_collect",
+        "diag.success_collect", "diag.rank",
+        "fleet.sq_doorbell", "fleet.cq_doorbell",
+        "vm.decode_hit", "vm.decode_miss", "vm.decode_evict",
+    };
+    EXPECT_EQ(kTraceVersion, 2);
+    ASSERT_EQ(table.size(), kTraceIdCount);
     std::set<std::string> names;
-    for (std::uint16_t i = 0; i < kTraceIdCount; ++i)
+    for (std::uint16_t i = 0; i < kTraceIdCount; ++i) {
+        EXPECT_EQ(traceIdName(static_cast<TraceId>(i)), table[i]) << i;
         names.insert(traceIdName(static_cast<TraceId>(i)));
+    }
     EXPECT_EQ(names.size(), kTraceIdCount);
     std::set<std::string> cats;
     for (std::uint8_t i = 0; i < kTraceCategoryCount; ++i)

@@ -248,7 +248,6 @@ TEST(TransformOverlay, OverlayLeavesTheBaseProgramUntouched)
 {
     GuardedProgram gp = guardedErrorProgram();
     const std::uint64_t baseFp = fingerprintProgramBase(*gp.prog);
-    const std::uint64_t fullFp = fingerprintProgram(*gp.prog);
 
     Instrumentation plan;
     transform::LbrLogPlan lbr;
@@ -259,15 +258,13 @@ TEST(TransformOverlay, OverlayLeavesTheBaseProgramUntouched)
     EXPECT_FALSE(plan.empty());
     EXPECT_TRUE(gp.prog->instrumentation.empty());
     EXPECT_EQ(fingerprintProgramBase(*gp.prog), baseFp);
-    EXPECT_EQ(fingerprintProgram(*gp.prog), fullFp);
-    EXPECT_NE(fingerprintProgram(*gp.prog, plan), fullFp);
 }
 
 TEST(TransformOverlay, ClearRestoresTheBaseFingerprint)
 {
     GuardedProgram gp = guardedErrorProgram();
     const std::uint64_t emptyFp =
-        fingerprintProgram(*gp.prog, gp.prog->instrumentation);
+        fingerprintHookTables(gp.prog->instrumentation);
 
     Instrumentation plan;
     transform::LbrLogPlan lbr;
@@ -277,11 +274,11 @@ TEST(TransformOverlay, ClearRestoresTheBaseFingerprint)
     transform::applySuccessSites(
         *gp.prog, plan, cfg, true,
         transform::SuccessSiteScheme::Reactive, gp.site);
-    EXPECT_NE(fingerprintProgram(*gp.prog, plan), emptyFp);
+    EXPECT_NE(fingerprintHookTables(plan), emptyFp);
 
     transform::clear(plan);
     EXPECT_TRUE(plan.empty());
-    EXPECT_EQ(fingerprintProgram(*gp.prog, plan), emptyFp);
+    EXPECT_EQ(fingerprintHookTables(plan), emptyFp);
 }
 
 TEST(TransformOverlay, TwoOverlaysOnOneBaseAreIndependent)
@@ -295,8 +292,8 @@ TEST(TransformOverlay, TwoOverlaysOnOneBaseAreIndependent)
     auto cbiPlan = std::make_shared<Instrumentation>();
     transform::applyCbi(*gp.prog, *cbiPlan, 1.0);
 
-    EXPECT_NE(fingerprintInstrumentation(*lbrPlan),
-              fingerprintInstrumentation(*cbiPlan));
+    EXPECT_NE(fingerprintHookTables(*lbrPlan),
+              fingerprintHookTables(*cbiPlan));
 
     // Each overlay drives a Machine on the same untouched base, and
     // each sees only its own hooks.
@@ -338,8 +335,8 @@ TEST(TransformOverlay, OverlayRunMatchesInPlaceInstrumentation)
     RunResult b = Machine(base.prog, failOpts, plan).run();
 
     EXPECT_TRUE(a == b); // bit-exact RunResult equality
-    EXPECT_EQ(fingerprintProgram(*inPlace.prog),
-              fingerprintProgram(*base.prog, *plan));
+    EXPECT_EQ(fingerprintHookTables(inPlace.prog->instrumentation),
+              fingerprintHookTables(*plan));
 }
 
 TEST(Transform, CbiSamplingObservesPredicates)

@@ -1,11 +1,13 @@
 /**
  * @file
- * Strict numeric option parsing shared by the command-line tools.
+ * Strict numeric option parsing shared by the command-line tools and
+ * the benches.
  *
- * Every numeric flag of stm_diagnose, stm_trace and stm_collector goes
- * through parseCount, so a sign, trailing junk, overflow or a value
- * outside the flag's range is a usage error (exit 2) instead of
- * std::stoul's silent wrap of "-1" to the type's maximum.
+ * Every numeric flag of stm_diagnose, stm_trace and stm_collector, and
+ * every count flag of the benches (bench/table_util.hh), goes through
+ * parseCount, so a sign, trailing junk, overflow or a value outside
+ * the flag's range is a usage error (exit 2) instead of std::stoul's
+ * silent wrap of "-1" to the type's maximum.
  */
 
 #ifndef STM_TOOLS_CLI_PARSE_HH

@@ -30,16 +30,13 @@
 #include "diag/auto_diag.hh"
 #include "diag/log_enhance.hh"
 #include "diag/report.hh"
-#include "exec/run_cache.hh"
 #include "exec/run_pool.hh"
-#include "exec/snapshot_store.hh"
 #include "fleet/fleet_sim.hh"
 #include "support/logging.hh"
 #include "trace_cli.hh"
 #include "vm/options.hh"
 
 using namespace stm;
-using stm::tools::kMaxMebibytes;
 using stm::tools::parseCount;
 
 namespace
@@ -59,14 +56,7 @@ struct CliOptions
     unsigned jobs = 0; //!< 0 = STM_JOBS, else hardware concurrency
     std::uint64_t fleet = 0; //!< 0 = in-process; N = fleet machines
     std::string tracePath;   //!< dump trace events here when set
-    bool runCacheSet = false;       //!< --run-cache given
-    RunCacheMode runCache = RunCacheMode::Off;
-    std::size_t runCacheBytes = 0;  //!< 0 = the cache's default budget
     DispatchMode dispatch = DispatchMode::Auto;
-    bool checkpointSet = false;       //!< --checkpoint-every given
-    std::uint64_t checkpointEvery = 0; //!< 0 = √T spacing
-    std::size_t checkpointBytes = 0;  //!< 0 = the store's default
-    bool checkpointReprofile = false; //!< --checkpoint-reprofile
 };
 
 DispatchMode
@@ -112,35 +102,12 @@ usage()
         << "  --trace FILE      record trace events for the run and\n"
            "                    dump them to FILE (.json = Chrome\n"
            "                    trace_event, else binary STMT)\n"
-        << "\nrun-execution flags (every mode is result-invariant:\n"
-           "the ranking is bit-identical whatever you pick — see\n"
-           "README 'Execution knobs'):\n"
+        << "\nrun-execution flag (result-invariant: the ranking is\n"
+           "bit-identical whatever you pick — see README 'Execution\n"
+           "knobs'):\n"
         << "  --dispatch MODE   auto|threaded|switch: interpreter\n"
            "                    dispatch loop (default auto =\n"
-           "                    threaded where compiled in)\n"
-        << "  --run-cache MODE  off|on|verify: memoize identical runs\n"
-           "                    (default: STM_RUN_CACHE env, else "
-           "off;\n"
-           "                    verify re-executes every hit and\n"
-           "                    asserts bit-identical results)\n"
-        << "  --run-cache-mb N  run-cache byte budget in MiB\n"
-           "                    (default: STM_RUN_CACHE_MB, else "
-           "256)\n"
-        << "  --checkpoint-every N\n"
-           "                    record CoW machine checkpoints every\n"
-           "                    N steps into the snapshot store so\n"
-           "                    replays seek in O(sqrt T) instead of\n"
-           "                    re-executing from step 0 (N=0 picks\n"
-           "                    sqrt-T spacing; default: the\n"
-           "                    STM_CHECKPOINT_EVERY env, else off)\n"
-        << "  --checkpoint-mb N snapshot-store byte budget in MiB\n"
-           "                    (default: STM_CHECKPOINT_MB, else "
-           "256)\n"
-        << "  --checkpoint-reprofile\n"
-           "                    reactive LBRA/LCRA: re-profile the\n"
-           "                    pinning seed under the new plan from\n"
-           "                    its latest checkpoint instead of\n"
-           "                    waiting for a fresh failing seed\n";
+           "                    threaded where compiled in)\n";
 }
 
 bool
@@ -200,44 +167,11 @@ try {
             if (!v)
                 return false;
             out->tracePath = v;
-        } else if (arg == "--run-cache") {
-            const char *v = next();
-            if (!v)
-                return false;
-            out->runCache = parseRunCacheMode(v);
-            out->runCacheSet = true;
-        } else if (arg == "--run-cache-mb") {
-            const char *v = next();
-            if (!v)
-                return false;
-            std::size_t mb = 0;
-            if (!parseCount("--run-cache-mb", v, &mb, 0, kMaxMebibytes))
-                return false;
-            out->runCacheBytes = mb << 20;
         } else if (arg == "--dispatch") {
             const char *v = next();
             if (!v)
                 return false;
             out->dispatch = parseDispatch(v);
-        } else if (arg == "--checkpoint-every") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (!parseCount("--checkpoint-every", v,
-                            &out->checkpointEvery))
-                return false;
-            out->checkpointSet = true;
-        } else if (arg == "--checkpoint-mb") {
-            const char *v = next();
-            if (!v)
-                return false;
-            std::size_t mb = 0;
-            if (!parseCount("--checkpoint-mb", v, &mb, 0, kMaxMebibytes))
-                return false;
-            out->checkpointBytes = mb << 20;
-            out->checkpointSet = true;
-        } else if (arg == "--checkpoint-reprofile") {
-            out->checkpointReprofile = true;
         } else if (arg == "--help" || arg == "-h") {
             return false;
         } else if (!arg.empty() && arg[0] != '-') {
@@ -249,7 +183,7 @@ try {
     }
     return out->list || !out->bugId.empty();
 } catch (const FatalError &e) {
-    // An unknown --dispatch or --run-cache mode.
+    // An unknown --dispatch mode.
     std::cerr << e.what() << '\n';
     return false;
 }
@@ -299,11 +233,6 @@ main(int argc, char **argv)
         return listCorpus();
     if (cli.jobs > 0)
         setDefaultJobs(cli.jobs);
-    if (cli.runCacheSet)
-        configureRunCache(cli.runCache, cli.runCacheBytes);
-    if (cli.checkpointSet || cli.checkpointReprofile)
-        configureSnapshotStore(true, cli.checkpointEvery,
-                               cli.checkpointBytes);
 
     BugSpec bug;
     try {
@@ -392,7 +321,6 @@ main(int argc, char **argv)
                           ? transform::SuccessSiteScheme::Proactive
                           : transform::SuccessSiteScheme::Reactive;
         opts.dispatch = cli.dispatch;
-        opts.checkpointReprofile = cli.checkpointReprofile;
         AutoDiagResult result =
             tool == "lbra"
                 ? runLbra(bug.program, bug.failing, bug.succeeding,
