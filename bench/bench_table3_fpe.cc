@@ -63,18 +63,17 @@ main(int argc, char **argv)
               << cell("in failure thread", 20) << cell("paper", 16)
               << '\n';
 
-    for (BugSpec &bug : corpus::microBugs()) {
-        transform::clear(*bug.program);
-        transform::LcrLogPlan plan;
-        plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-        transform::applyLcrLog(*bug.program, plan);
+    for (const BugSpec &bug : corpus::microBugs()) {
+        transform::LcrLogPlan logPlan;
+        logPlan.lcrConfigMask = lcrConfSpaceConsuming().pack();
+        auto plan = std::make_shared<Instrumentation>();
+        transform::applyLcrLog(*bug.program, *plan, logPlan);
 
         int failures = 0;
         int fpeSeen = 0;
         for (std::uint64_t i = 0; i < 400 && failures < 120; ++i) {
             MachineOptions opts = bug.failing.forRun(i);
-            Machine machine(bug.program, opts);
-            RunResult run = machine.run();
+            RunResult run = Machine(bug.program, opts, plan).run();
             if (!bug.failing.isFailure(run))
                 continue;
             ++failures;

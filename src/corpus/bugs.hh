@@ -2,9 +2,7 @@
  * @file
  * Factories for every corpus entry: the 20 sequential-bug failures
  * and 11 concurrency-bug failures of Table 4, plus the six Table 3
- * interleaving micro-bugs. Each factory builds a fresh program (so
- * instrumentation applied by one experiment never leaks into
- * another).
+ * interleaving micro-bugs. Each factory builds a fresh program.
  */
 
 #ifndef STM_CORPUS_BUGS_HH

@@ -78,8 +78,9 @@ struct LcrLogReport
 };
 
 /**
- * LBRLOG: instrument @p prog for LBR-enhanced failure logging and run
- * the workload until a failure is observed (or attempts run out).
+ * LBRLOG: run the workload over @p prog under an LBR-enhanced
+ * failure-logging plan until a failure is observed (or attempts run
+ * out). @p prog itself is left as it was.
  */
 LbrLogReport runLbrLog(ProgramPtr prog, const Workload &workload,
                        const LogEnhanceOptions &opts = {});

@@ -7,8 +7,8 @@
  * attempts before rare failures manifest), the CBI/PBI/CCI baselines
  * (1000+1000 sampled runs per campaign), and the table benches — is
  * built from *independent* VM executions: run i is fully determined by
- * `workload.forRun(i)` and the (immutable during execution)
- * instrumented Program. RunPool fans those runs out across N worker
+ * `workload.forRun(i)`, the Program and the instrumentation plan it
+ * runs under. RunPool fans those runs out across N worker
  * threads while preserving the exact observable behavior of the serial
  * loop:
  *
@@ -26,11 +26,12 @@
  *    discards speculative results past the stopping point. Wasted
  *    speculation is bounded by the look-ahead window.
  *
- * Determinism contract: the Program shared by concurrent Machines must
- * not be mutated while a batch is in flight. All instrumentation
- * transforms must run before fan-out (the Reactive success-site scheme
- * stops the pool at the pinning failure, re-instruments, then fans out
- * again — see diag/auto_diag.cc).
+ * Determinism contract: concurrent Machines share one Program, which
+ * is const once built, and read one instrumentation plan per batch.
+ * A plan is published before fan-out and replaced only between
+ * batches (the Reactive success-site scheme stops the pool at the
+ * pinning failure, builds a new plan, then fans out again — see
+ * diag/auto_diag.cc).
  */
 
 #ifndef STM_EXEC_RUN_POOL_HH

@@ -4,9 +4,10 @@
  *
  * A Program is the unit the whole reproduction pipeline operates on:
  * the bug corpus builds Programs, the instrumentation transforms
- * attach profiling hooks to them (the analogue of the paper's
+ * build profiling plans over them (the analogue of the paper's
  * source-to-source transformer, Section 5.1), the static analyzer
- * walks their control-flow graphs (Table 5), and the VM executes them.
+ * walks their control-flow graphs (Table 5), and the VM executes them
+ * under a plan.
  */
 
 #ifndef STM_PROGRAM_PROGRAM_HH
@@ -94,8 +95,9 @@ struct Hook
 };
 
 /**
- * The complete instrumentation plan attached to a program. Built by
- * the transforms in transform.hh; consumed by the VM.
+ * The complete instrumentation plan for a run over one Program. Built
+ * by the transforms in transform.hh; passed to the VM's Machine
+ * beside the Program, which it leaves unchanged.
  */
 struct Instrumentation
 {
@@ -161,8 +163,10 @@ struct Instrumentation
 };
 
 /**
- * A complete MiniVM program: code, data image, debug metadata, and an
- * instrumentation plan.
+ * A complete MiniVM program: code, data image and debug metadata.
+ * ProgramBuilder::build() fills one in; from then on it is shared as
+ * a ProgramPtr to const, so concurrent runs under different
+ * instrumentation plans read one Program nobody can change.
  */
 class Program
 {
@@ -174,7 +178,6 @@ class Program
     std::vector<Function> functions;
     std::vector<SourceBranchInfo> branches;
     std::vector<LogSiteInfo> logSites;
-    Instrumentation instrumentation;
     std::uint32_t entry = 0;
 
     /**
@@ -203,9 +206,10 @@ class Program
      * The base digest is O(program) and hashed once per decode-cache
      * probe, so memoizedProgramBaseFingerprint() computes it once per
      * Program.
-     * Safe because nothing mutates a Program after builder
-     * finalization (rebuildDispatchFlags resets the memo as a
-     * belt-and-braces measure). Copies start unmemoized.
+     * Safe because a built Program is only reachable through a
+     * ProgramPtr to const (rebuildDispatchFlags, which runs while the
+     * builder still owns it, resets the memo). Copies start
+     * unmemoized.
      */
     struct FingerprintMemo
     {
@@ -260,7 +264,7 @@ class Program
     bool isNormalized() const;
 };
 
-using ProgramPtr = std::shared_ptr<Program>;
+using ProgramPtr = std::shared_ptr<const Program>;
 
 } // namespace stm
 

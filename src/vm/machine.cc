@@ -26,18 +26,22 @@ libPc(LibFn fn, std::uint32_t off = 0)
 } // namespace
 
 Machine::Machine(ProgramPtr prog, MachineOptions opts,
-                 std::shared_ptr<const Instrumentation> overlay)
+                 std::shared_ptr<const Instrumentation> plan)
     : prog_(std::move(prog)),
       opts_(std::move(opts)),
-      overlayHold_(std::move(overlay)),
+      instr_(std::move(plan)),
       rng_(opts_.sched.seed),
       bus_(opts_.cache),
       lcr_(opts_.lcrEntries)
 {
     if (!prog_)
         fatal("Machine requires a program");
-    instr_ = overlayHold_ ? overlayHold_.get()
-                          : &prog_->instrumentation;
+    if (!instr_) {
+        static const Instrumentation kEmptyPlan;
+        // Aliasing constructor: points at the static, owns nothing.
+        instr_ = std::shared_ptr<const Instrumentation>(
+            std::shared_ptr<const Instrumentation>(), &kEmptyPlan);
+    }
     globalsEnd_ = prog_->globalsEnd();
 }
 

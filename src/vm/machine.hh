@@ -77,17 +77,17 @@ class Machine
 {
   public:
     /**
-     * @p overlay, when non-null, is the copy-on-write instrumentation
-     * plan for this run: the Machine reads every hook table and
-     * scalar knob from it instead of prog->instrumentation, so one
-     * immutable base Program can be shared by concurrent runs under
-     * different per-phase plans (see program/transform.hh). The
-     * Machine keeps the shared_ptr alive for the whole run; the
-     * predecoded stream it dispatches over owns copies of the hook
-     * lists (vm/decoded_program.hh).
+     * @p plan is the instrumentation plan for this run (see
+     * program/transform.hh); null means the empty plan. The Machine
+     * reads every hook table and scalar knob from it and never
+     * changes @p prog, so one Program can be shared by concurrent
+     * runs under different per-phase plans. The Machine keeps the
+     * plan alive for the whole run; the predecoded stream it
+     * dispatches over owns copies of the hook lists
+     * (vm/decoded_program.hh).
      */
     Machine(ProgramPtr prog, MachineOptions opts = {},
-            std::shared_ptr<const Instrumentation> overlay = nullptr);
+            std::shared_ptr<const Instrumentation> plan = nullptr);
 
     ~Machine();
 
@@ -123,7 +123,7 @@ class Machine
 
     const Program &program() const { return *prog_; }
     const MachineOptions &options() const { return opts_; }
-    /** The instrumentation plan in effect (overlay or the program's). */
+    /** This run's instrumentation plan (empty when none was given). */
     const Instrumentation &instrumentation() const { return *instr_; }
 
     Pmu &pmuOf(ThreadId tid);
@@ -283,10 +283,8 @@ class Machine
 
     ProgramPtr prog_;
     MachineOptions opts_;
-    /** Keeps an overlay plan alive; null when running the program's own. */
-    std::shared_ptr<const Instrumentation> overlayHold_;
-    /** The plan every read goes through (overlay or &prog_->instrumentation). */
-    const Instrumentation *instr_ = nullptr;
+    /** This run's instrumentation plan; never null. */
+    std::shared_ptr<const Instrumentation> instr_;
     SeedStream rng_;
     /** Visit log armed by recordCbiVisits (null when not recording). */
     std::unique_ptr<std::vector<CbiVisit>> cbiVisits_;

@@ -208,14 +208,14 @@ TEST_P(ConcurrencyEntry, DiagnosableBugsExposeTheFpe)
         GTEST_SKIP() << "paper-expected miss";
     // In at least one failing run, the FPE appears in the failure
     // thread's LCR under Conf2.
-    transform::clear(*bug_.program);
-    transform::LcrLogPlan plan;
-    plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-    transform::applyLcrLog(*bug_.program, plan);
+    transform::LcrLogPlan log;
+    log.lcrConfigMask = lcrConfSpaceConsuming().pack();
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLcrLog(*bug_.program, *plan, log);
 
     bool seen = false;
     for (int i = 0; i < 300 && !seen; ++i) {
-        Machine machine(bug_.program, bug_.failing.forRun(i));
+        Machine machine(bug_.program, bug_.failing.forRun(i), plan);
         RunResult run = machine.run();
         if (!bug_.failing.isFailure(run))
             continue;
@@ -235,7 +235,6 @@ TEST_P(ConcurrencyEntry, DiagnosableBugsExposeTheFpe)
                             rec.store == bug_.truth.fpeStore);
         }
     }
-    transform::clear(*bug_.program);
     EXPECT_TRUE(seen);
 }
 

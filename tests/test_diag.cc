@@ -14,6 +14,7 @@
 #include "diag/log_enhance.hh"
 #include "diag/ranker.hh"
 #include "diag/report.hh"
+#include "vm/machine.hh"
 
 namespace stm
 {
@@ -227,6 +228,24 @@ TEST(LbrLog, SmallerLbrMayMissDeepRootCauses)
     LbrLogReport report = runLbrLog(bug.program, bug.failing, opts);
     ASSERT_TRUE(report.failed);
     EXPECT_EQ(report.positionOfBranch(bug.truth.relatedBranch), 0u);
+}
+
+TEST(LogEnhance, LeavesTheProgramAsItWas)
+{
+    // LBRLOG and LCRLOG run under plans of their own: a bare run of
+    // the same program afterwards carries no hooks and no cost.
+    BugSpec bug = corpus::bugById("sort");
+    const MachineOptions opts = bug.succeeding.forRun(0);
+    RunResult before = Machine(bug.program, opts).run();
+    EXPECT_EQ(before.stats.instrumentationInstructions, 0u);
+
+    EXPECT_TRUE(runLbrLog(bug.program, bug.failing).failed);
+    runLcrLog(bug.program, bug.failing);
+
+    RunResult after = Machine(bug.program, opts).run();
+    EXPECT_EQ(after.stats, before.stats);
+    EXPECT_EQ(after.stats.instrumentationInstructions, 0u);
+    EXPECT_EQ(after.profiles, before.profiles);
 }
 
 TEST(Lbra, RanksSortRootCauseFirst)

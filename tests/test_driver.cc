@@ -99,9 +99,33 @@ TEST(Driver, ProfileChargesInstrumentationNotBaseline)
 
 // ---- LCR pollution model (Section 4.3) ------------------------------------
 
-/** Program with LCRLOG instrumentation that fails at an error site. */
-ProgramPtr
-lcrProgram()
+/** Run @p prog once under an untoggled LCRLOG plan with @p config. */
+RunResult
+runUnderLcrLog(const ProgramPtr &prog, const LcrConfig &config)
+{
+    transform::LcrLogPlan log;
+    log.lcrConfigMask = config.pack();
+    log.toggling = false;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLcrLog(*prog, *plan, log);
+    return Machine(prog, {}, plan).run();
+}
+
+/** Run @p prog once under an LBRLOG plan with the paper's mask. */
+RunResult
+runUnderLbrLog(const ProgramPtr &prog, bool toggling)
+{
+    transform::LbrLogPlan log;
+    log.lbrSelectMask = msr::kPaperLbrSelect;
+    log.toggling = toggling;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(*prog, *plan, log);
+    return Machine(prog, {}, plan).run();
+}
+
+/** Program that fails at an error site, run under Conf2 LCRLOG. */
+RunResult
+runLcrProgram()
 {
     ProgramBuilder b("lcr");
     b.global("g", 4, {1, 2, 3, 4});
@@ -110,19 +134,14 @@ lcrProgram()
     b.loadg(r1, "g", 8);  // same line: exclusive load
     b.logError("fail here");
     b.halt();
-    ProgramPtr prog = b.build();
-    transform::LcrLogPlan plan;
-    plan.lcrConfigMask = lcrConfSpaceConsuming().pack();
-    plan.toggling = false;
-    transform::applyLcrLog(*prog, plan);
-    return prog;
+    return runUnderLcrLog(b.build(), lcrConfSpaceConsuming());
 }
 
 TEST(Driver, LcrEnablePollutionIsTwoExclusiveReads)
 {
     // At the very start of main, enable injects 2 exclusive reads;
     // under Conf2 both are recorded. They are the oldest entries.
-    RunResult result = Machine(lcrProgram()).run();
+    RunResult result = runLcrProgram();
     ASSERT_FALSE(result.profiles.empty());
     const ProfileRecord &p = result.profiles.back();
     ASSERT_GE(p.lcr.size(), 2u);
@@ -139,7 +158,7 @@ TEST(Driver, LcrDisablePollutionTopsTheProfile)
     // The profile ioctl disables LCR first, which injects 2 exclusive
     // reads and 1 shared read; under Conf2 the 2 exclusive reads are
     // the newest records.
-    RunResult result = Machine(lcrProgram()).run();
+    RunResult result = runLcrProgram();
     const ProfileRecord &p = result.profiles.back();
     ASSERT_GE(p.lcr.size(), 3u);
     EXPECT_EQ(p.lcr[0].observed, MesiState::Exclusive);
@@ -157,12 +176,7 @@ TEST(Driver, LcrConf1PollutionIsOneSharedRead)
     b.loadg(r1, "g", 0);
     b.logError("fail");
     b.halt();
-    ProgramPtr prog = b.build();
-    transform::LcrLogPlan plan;
-    plan.lcrConfigMask = lcrConfSpaceSaving().pack();
-    plan.toggling = false;
-    transform::applyLcrLog(*prog, plan);
-    RunResult result = Machine(prog).run();
+    RunResult result = runUnderLcrLog(b.build(), lcrConfSpaceSaving());
     const ProfileRecord &p = result.profiles.back();
     ASSERT_GE(p.lcr.size(), 2u);
     // Under Conf1 only the shared read of the disable pollution
@@ -185,12 +199,7 @@ TEST(Driver, LbrDisableAddsNoUserBranches)
     b.endWhile();
     b.logError("fail");
     b.halt();
-    ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    plan.toggling = false;
-    transform::applyLbrLog(*prog, plan);
-    RunResult result = Machine(prog).run();
+    RunResult result = runUnderLbrLog(b.build(), false);
     const ProfileRecord &p = result.profiles.back();
     ASSERT_FALSE(p.lbr.empty());
     EXPECT_LT(p.lbr[0].fromIp, layout::kLibraryBase);
@@ -200,27 +209,15 @@ TEST(Driver, LbrDisableAddsNoUserBranches)
 
 TEST(Driver, TogglingSuppressesLibraryBranches)
 {
-    auto makeProgram = [] {
-        ProgramBuilder b("tog");
-        b.func("main");
-        b.movi(r1, 10);
-        b.libcall(LibFn::Generic); // 10 internal branches
-        b.logError("fail");
-        b.halt();
-        return b.build();
-    };
-
-    ProgramPtr withTog = makeProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    plan.toggling = true;
-    transform::applyLbrLog(*withTog, plan);
-    RunResult togResult = Machine(withTog).run();
-
-    ProgramPtr without = makeProgram();
-    plan.toggling = false;
-    transform::applyLbrLog(*without, plan);
-    RunResult rawResult = Machine(without).run();
+    ProgramBuilder b("tog");
+    b.func("main");
+    b.movi(r1, 10);
+    b.libcall(LibFn::Generic); // 10 internal branches
+    b.logError("fail");
+    b.halt();
+    ProgramPtr prog = b.build();
+    RunResult togResult = runUnderLbrLog(prog, true);
+    RunResult rawResult = runUnderLbrLog(prog, false);
 
     auto libraryRecords = [](const RunResult &r) {
         int n = 0;
@@ -238,27 +235,16 @@ TEST(Driver, TogglingSuppressesLibraryBranches)
 
 TEST(Driver, TogglingCostIsInstrumentation)
 {
-    auto makeProgram = [] {
-        ProgramBuilder b("tog");
-        b.func("main");
-        for (int i = 0; i < 5; ++i) {
-            b.movi(r1, 1);
-            b.libcall(LibFn::Generic);
-        }
-        b.halt();
-        return b.build();
-    };
-    ProgramPtr withTog = makeProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    plan.toggling = true;
-    transform::applyLbrLog(*withTog, plan);
-    RunResult tog = Machine(withTog).run();
-
-    ProgramPtr without = makeProgram();
-    plan.toggling = false;
-    transform::applyLbrLog(*without, plan);
-    RunResult raw = Machine(without).run();
+    ProgramBuilder b("tog");
+    b.func("main");
+    for (int i = 0; i < 5; ++i) {
+        b.movi(r1, 1);
+        b.libcall(LibFn::Generic);
+    }
+    b.halt();
+    ProgramPtr prog = b.build();
+    RunResult tog = runUnderLbrLog(prog, true);
+    RunResult raw = runUnderLbrLog(prog, false);
 
     EXPECT_GT(tog.stats.steadyOverhead(),
               raw.stats.steadyOverhead());

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the instrumentation transforms: LBRLOG/LCRLOG hook
  * placement, the Figure 8 success-site rules (including hoisting onto
- * the guarding branch), CBI instrumentation, and clearing.
+ * the guarding branch), the Reactive scheme's rejections, and CBI
+ * instrumentation. Every transform writes a plan and leaves the
+ * Program as it was.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "program/cfg.hh"
 #include "program/fingerprint.hh"
 #include "program/transform.hh"
+#include "support/logging.hh"
 #include "vm/machine.hh"
 
 namespace stm
@@ -48,14 +51,22 @@ guardedErrorProgram()
     return out;
 }
 
+/** An LBRLOG plan over @p prog with the paper's LBR_SELECT mask. */
+std::shared_ptr<Instrumentation>
+paperLbrLog(const Program &prog)
+{
+    transform::LbrLogPlan lbr;
+    lbr.lbrSelectMask = msr::kPaperLbrSelect;
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyLbrLog(prog, *plan, lbr);
+    return plan;
+}
+
 TEST(Transform, LbrLogAttachesProfileAtFailureSites)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
-
-    const Instrumentation &instr = gp.prog->instrumentation;
+    auto plan = paperLbrLog(*gp.prog);
+    const Instrumentation &instr = *plan;
     EXPECT_TRUE(instr.enableLbrAtMain);
     EXPECT_TRUE(instr.segfaultProfilesLbr);
     EXPECT_TRUE(instr.toggleLbrAroundLibraries);
@@ -72,15 +83,13 @@ TEST(Transform, SuccessSiteHoistsOntoTheGuardingBranch)
     // evaluation of the condition, i.e. on the Br itself, not on the
     // conditional normalization jump into the failure block.
     GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
+    auto plan = paperLbrLog(*gp.prog);
     Cfg cfg(*gp.prog);
     transform::applySuccessSites(
-        *gp.prog, cfg, true, transform::SuccessSiteScheme::Reactive,
-        gp.site);
+        *gp.prog, *plan, cfg, true,
+        transform::SuccessSiteScheme::Reactive, gp.site);
 
-    const Instrumentation &instr = gp.prog->instrumentation;
+    const Instrumentation &instr = *plan;
     ASSERT_TRUE(instr.before.count(gp.guardBr));
     bool successHook = false;
     for (const auto &hook : instr.before.at(gp.guardBr)) {
@@ -94,17 +103,15 @@ TEST(Transform, SuccessSiteHoistsOntoTheGuardingBranch)
 TEST(Transform, SuccessSiteProfilesInSuccessfulRuns)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
+    auto plan = paperLbrLog(*gp.prog);
     Cfg cfg(*gp.prog);
     transform::applySuccessSites(
-        *gp.prog, cfg, true, transform::SuccessSiteScheme::Reactive,
-        gp.site);
+        *gp.prog, *plan, cfg, true,
+        transform::SuccessSiteScheme::Reactive, gp.site);
 
     // x == 0: the branch is evaluated (false), the run succeeds, and
     // a success-site profile exists.
-    RunResult ok = Machine(gp.prog).run();
+    RunResult ok = Machine(gp.prog, {}, plan).run();
     EXPECT_EQ(ok.outcome, RunOutcome::Completed);
     bool successProfile = false;
     for (const auto &p : ok.profiles)
@@ -114,7 +121,7 @@ TEST(Transform, SuccessSiteProfilesInSuccessfulRuns)
     // x == 1: both the success-site and the failure-site profiles.
     MachineOptions failOpts;
     failOpts.globalOverrides = {{"x", {1}}};
-    RunResult bad = Machine(gp.prog, failOpts).run();
+    RunResult bad = Machine(gp.prog, failOpts, plan).run();
     EXPECT_EQ(bad.outcome, RunOutcome::ErrorLogged);
     bool failureProfile = false;
     for (const auto &p : bad.profiles)
@@ -132,21 +139,19 @@ TEST(Transform, ReactiveSegfaultSiteIsAfterTheFaultingInstr)
     b.out(r2);
     b.halt();
     ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*prog, plan);
+    auto plan = paperLbrLog(*prog);
     Cfg cfg(*prog);
     transform::applySuccessSites(
-        *prog, cfg, true, transform::SuccessSiteScheme::Reactive,
+        *prog, *plan, cfg, true, transform::SuccessSiteScheme::Reactive,
         kSegfaultSite, faulting);
 
-    ASSERT_TRUE(prog->instrumentation.after.count(faulting));
+    ASSERT_TRUE(plan->after.count(faulting));
 
     // Healthy pointer: the after-hook yields a success profile.
     MachineOptions opts;
     opts.globalOverrides = {{"p", {static_cast<Word>(
                                      layout::kGlobalBase)}}};
-    RunResult ok = Machine(prog, opts).run();
+    RunResult ok = Machine(prog, opts, plan).run();
     EXPECT_EQ(ok.outcome, RunOutcome::Completed);
     bool successProfile = false;
     for (const auto &p : ok.profiles) {
@@ -157,7 +162,7 @@ TEST(Transform, ReactiveSegfaultSiteIsAfterTheFaultingInstr)
     EXPECT_TRUE(successProfile);
 
     // NULL pointer: the segfault handler profiles at the crash.
-    RunResult bad = Machine(prog).run();
+    RunResult bad = Machine(prog, {}, plan).run();
     EXPECT_EQ(bad.outcome, RunOutcome::SegFault);
     bool faultProfile = false;
     for (const auto &p : bad.profiles) {
@@ -165,6 +170,29 @@ TEST(Transform, ReactiveSegfaultSiteIsAfterTheFaultingInstr)
                        (!p.successSite && p.site == kSegfaultSite);
     }
     EXPECT_TRUE(faultProfile);
+}
+
+TEST(Transform, ReactiveRejectsAnUnplaceableSite)
+{
+    GuardedProgram gp = guardedErrorProgram();
+    Cfg cfg(*gp.prog);
+    Instrumentation plan;
+    auto reactive = [&](LogSiteId site,
+                        std::optional<std::uint32_t> faulting) {
+        transform::applySuccessSites(
+            *gp.prog, plan, cfg, true,
+            transform::SuccessSiteScheme::Reactive, site, faulting);
+    };
+    // A segfault site names no instruction to follow.
+    EXPECT_THROW(reactive(kSegfaultSite, std::nullopt), FatalError);
+    // The faulting instruction lies past the end of the code.
+    const auto size = static_cast<std::uint32_t>(gp.prog->code.size());
+    EXPECT_THROW(reactive(kSegfaultSite, size), FatalError);
+    // No log site has this id.
+    const auto unknown =
+        static_cast<LogSiteId>(gp.prog->logSites.size());
+    EXPECT_THROW(reactive(unknown, std::nullopt), FatalError);
+    EXPECT_TRUE(plan.empty());
 }
 
 TEST(Transform, ProactiveCoversAllFailureSites)
@@ -184,15 +212,13 @@ TEST(Transform, ProactiveCoversAllFailureSites)
     b.logInfo("not a failure site");
     b.halt();
     ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*prog, plan);
+    auto plan = paperLbrLog(*prog);
     Cfg cfg(*prog);
     transform::applySuccessSites(
-        *prog, cfg, true, transform::SuccessSiteScheme::Proactive);
+        *prog, *plan, cfg, true, transform::SuccessSiteScheme::Proactive);
 
     int successHooks = 0;
-    for (const auto &[idx, hooks] : prog->instrumentation.before) {
+    for (const auto &[idx, hooks] : plan->before) {
         for (const auto &hook : hooks)
             successHooks += hook.successSite ? 1 : 0;
     }
@@ -202,8 +228,8 @@ TEST(Transform, ProactiveCoversAllFailureSites)
 TEST(Transform, CbiInstrumentsEverySourceConditional)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::applyCbi(*gp.prog, 100.0);
-    const Instrumentation &instr = gp.prog->instrumentation;
+    Instrumentation instr;
+    transform::applyCbi(*gp.prog, instr, 100.0);
     EXPECT_TRUE(instr.cbiEnabled);
     int cbiHooks = 0;
     for (const auto &[idx, hooks] : instr.before) {
@@ -218,31 +244,19 @@ TEST(Transform, CbiInstrumentsEverySourceConditional)
               static_cast<int>(gp.prog->branches.size()));
 }
 
-TEST(Transform, ClearRemovesEverything)
-{
-    GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
-    transform::applyCbi(*gp.prog);
-    transform::clear(*gp.prog);
-    EXPECT_TRUE(gp.prog->instrumentation.empty());
-    EXPECT_FALSE(gp.prog->instrumentation.cbiEnabled);
-}
-
 TEST(Transform, HooksAreIdempotent)
 {
     GuardedProgram gp = guardedErrorProgram();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan);
-    transform::applyLbrLog(*gp.prog, plan); // re-apply
+    transform::LbrLogPlan lbr;
+    lbr.lbrSelectMask = msr::kPaperLbrSelect;
+    Instrumentation plan;
+    transform::applyLbrLog(*gp.prog, plan, lbr);
+    transform::applyLbrLog(*gp.prog, plan, lbr); // re-apply
     std::uint32_t siteIdx = gp.prog->logSite(gp.site).instrIndex;
-    EXPECT_EQ(gp.prog->instrumentation.before.at(siteIdx).size(),
-              1u);
+    EXPECT_EQ(plan.before.at(siteIdx).size(), 1u);
 }
 
-// ---- copy-on-write overlay forms ------------------------------------------
+// ---- plans over one shared Program -----------------------------------------
 
 TEST(TransformOverlay, OverlayLeavesTheBaseProgramUntouched)
 {
@@ -256,29 +270,7 @@ TEST(TransformOverlay, OverlayLeavesTheBaseProgramUntouched)
     transform::applyCbi(*gp.prog, plan);
 
     EXPECT_FALSE(plan.empty());
-    EXPECT_TRUE(gp.prog->instrumentation.empty());
     EXPECT_EQ(fingerprintProgramBase(*gp.prog), baseFp);
-}
-
-TEST(TransformOverlay, ClearRestoresTheBaseFingerprint)
-{
-    GuardedProgram gp = guardedErrorProgram();
-    const std::uint64_t emptyFp =
-        fingerprintHookTables(gp.prog->instrumentation);
-
-    Instrumentation plan;
-    transform::LbrLogPlan lbr;
-    lbr.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*gp.prog, plan, lbr);
-    Cfg cfg(*gp.prog);
-    transform::applySuccessSites(
-        *gp.prog, plan, cfg, true,
-        transform::SuccessSiteScheme::Reactive, gp.site);
-    EXPECT_NE(fingerprintHookTables(plan), emptyFp);
-
-    transform::clear(plan);
-    EXPECT_TRUE(plan.empty());
-    EXPECT_EQ(fingerprintHookTables(plan), emptyFp);
 }
 
 TEST(TransformOverlay, TwoOverlaysOnOneBaseAreIndependent)
@@ -305,46 +297,15 @@ TEST(TransformOverlay, TwoOverlaysOnOneBaseAreIndependent)
     EXPECT_TRUE(lbrRun.cbiSiteSamples.empty());
     EXPECT_FALSE(cbiRun.cbiSiteSamples.empty());
     EXPECT_TRUE(cbiRun.profiles.empty());
-    EXPECT_TRUE(gp.prog->instrumentation.empty());
-}
-
-TEST(TransformOverlay, OverlayRunMatchesInPlaceInstrumentation)
-{
-    transform::LbrLogPlan lbr;
-    lbr.lbrSelectMask = msr::kPaperLbrSelect;
-    MachineOptions failOpts;
-    failOpts.globalOverrides = {{"x", {1}}};
-
-    // Legacy form: mutate the program's own instrumentation.
-    GuardedProgram inPlace = guardedErrorProgram();
-    transform::applyLbrLog(*inPlace.prog, lbr);
-    Cfg cfg1(*inPlace.prog);
-    transform::applySuccessSites(
-        *inPlace.prog, cfg1, true,
-        transform::SuccessSiteScheme::Reactive, inPlace.site);
-    RunResult a = Machine(inPlace.prog, failOpts).run();
-
-    // Overlay form: identical plan against an untouched base.
-    GuardedProgram base = guardedErrorProgram();
-    auto plan = std::make_shared<Instrumentation>();
-    transform::applyLbrLog(*base.prog, *plan, lbr);
-    Cfg cfg2(*base.prog);
-    transform::applySuccessSites(
-        *base.prog, *plan, cfg2, true,
-        transform::SuccessSiteScheme::Reactive, base.site);
-    RunResult b = Machine(base.prog, failOpts, plan).run();
-
-    EXPECT_TRUE(a == b); // bit-exact RunResult equality
-    EXPECT_EQ(fingerprintHookTables(inPlace.prog->instrumentation),
-              fingerprintHookTables(*plan));
 }
 
 TEST(Transform, CbiSamplingObservesPredicates)
 {
     // With a mean period of 1 every branch execution is sampled.
     GuardedProgram gp = guardedErrorProgram();
-    transform::applyCbi(*gp.prog, 1.0);
-    RunResult result = Machine(gp.prog).run();
+    auto plan = std::make_shared<Instrumentation>();
+    transform::applyCbi(*gp.prog, *plan, 1.0);
+    RunResult result = Machine(gp.prog, {}, plan).run();
     EXPECT_FALSE(result.cbiSiteSamples.empty());
     // x == 0: the guard evaluated false.
     bool sawFalse = false;

@@ -672,11 +672,15 @@ TEST(Vm, IndirectBranchesAreFilterableLbrClasses)
     b.func("callee");
     b.ret();
     ProgramPtr prog = b.build();
-    transform::LbrLogPlan plan;
-    plan.lbrSelectMask = 0; // record everything
-    plan.toggling = false;
-    transform::applyLbrLog(*prog, plan);
-    RunResult all = Machine(prog).run();
+    auto runWithSelect = [&](std::uint64_t select) {
+        transform::LbrLogPlan log;
+        log.lbrSelectMask = select;
+        log.toggling = false;
+        auto plan = std::make_shared<Instrumentation>();
+        transform::applyLbrLog(*prog, *plan, log);
+        return Machine(prog, {}, plan).run();
+    };
+    RunResult all = runWithSelect(0); // record everything
     bool sawIndirect = false;
     for (const auto &rec : all.profiles.back().lbr) {
         sawIndirect = sawIndirect ||
@@ -684,10 +688,7 @@ TEST(Vm, IndirectBranchesAreFilterableLbrClasses)
     }
     EXPECT_TRUE(sawIndirect);
 
-    transform::clear(*prog);
-    plan.lbrSelectMask = msr::kPaperLbrSelect;
-    transform::applyLbrLog(*prog, plan);
-    RunResult filtered = Machine(prog).run();
+    RunResult filtered = runWithSelect(msr::kPaperLbrSelect);
     for (const auto &rec : filtered.profiles.back().lbr) {
         EXPECT_NE(rec.kind, BranchKind::NearIndirectCall);
     }
