@@ -60,8 +60,8 @@ CbiResult
 runCbi(ProgramPtr prog, const Workload &failing,
        const Workload &succeeding, const CbiOptions &opts)
 {
-    // The sampling instrumentation rides a copy-on-write overlay; the
-    // program stays untouched.
+    // The sampling instrumentation is a plan over the const program;
+    // every run of the campaign reads it.
     auto overlay = std::make_shared<Instrumentation>();
     transform::applyCbi(*prog, *overlay, opts.meanPeriod);
     std::shared_ptr<const Instrumentation> plan = std::move(overlay);
@@ -97,7 +97,8 @@ runCbi(ProgramPtr prog, const Workload &failing,
     // A phase whose first attempt read its seed only through the CBI
     // countdown takes the same path under every seed: trace it once
     // and replay just the sampling per attempt (DESIGN.md §5). Any
-    // other phase executes every attempt, memoized.
+    // other phase executes every attempt: CBI runs read the countdown,
+    // so RunMemo could store none of them.
     auto tracePhase = [&](const MachineOptions &firstAttempt)
         -> std::shared_ptr<const CbiTrace> {
         Machine machine(prog, firstAttempt, plan);

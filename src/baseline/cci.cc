@@ -35,8 +35,8 @@ CciResult
 runCci(ProgramPtr prog, const Workload &failing,
        const Workload &succeeding, const CciOptions &opts)
 {
-    // Sampling configuration rides a copy-on-write overlay; the
-    // program stays untouched (see baseline/cbi.cc).
+    // Sampling configuration is a plan over the const program (see
+    // baseline/cbi.cc).
     auto overlay = std::make_shared<Instrumentation>();
     transform::applyCci(*overlay, opts.meanPeriod);
     std::shared_ptr<const Instrumentation> plan = std::move(overlay);

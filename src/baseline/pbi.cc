@@ -36,8 +36,8 @@ PbiResult
 runPbi(ProgramPtr prog, const Workload &failing,
        const Workload &succeeding, const PbiOptions &opts)
 {
-    // Counter configuration rides a copy-on-write overlay; the
-    // program stays untouched (see baseline/cbi.cc).
+    // Counter configuration is a plan over the const program (see
+    // baseline/cbi.cc).
     auto overlay = std::make_shared<Instrumentation>();
     transform::applyPbi(*overlay, opts.loadMask, opts.storeMask,
                         opts.period);

@@ -80,6 +80,14 @@ execStats()
 }
 
 void
+recordRunMemo(std::uint64_t hits, std::uint64_t paths)
+{
+    std::lock_guard<std::mutex> lock(execStatsMutex());
+    execStats().counter("memo_hits") += hits;
+    execStats().counter("memo_paths") += paths;
+}
+
+void
 resetExecStats()
 {
     std::lock_guard<std::mutex> lock(execStatsMutex());

@@ -80,6 +80,13 @@ unsigned resolveJobs(unsigned jobs);
  */
 StatGroup &execStats();
 
+/**
+ * Fold one RunMemo's totals into execStats(): memo_hits (runs
+ * answered without a Machine) and memo_paths (distinct decision paths
+ * executed and stored). Thread-safe.
+ */
+void recordRunMemo(std::uint64_t hits, std::uint64_t paths);
+
 /** Reset the cumulative execution statistics (bench sections). */
 void resetExecStats();
 

@@ -1006,10 +1006,20 @@ Machine::recordCbiVisits()
     cbiVisits_ = std::make_unique<std::vector<CbiVisit>>();
 }
 
+void
+Machine::recordSeedPath()
+{
+    if (!threads_.empty())
+        panic("recordSeedPath must precede run()");
+    rng_.record().startPath();
+}
+
 bool
 Machine::seedInvariant() const
 {
-    return rng_.otherSeedReads() == 0 && threads_.size() == 1;
+    const SeedRecord &reads = rng_.record();
+    return reads.decisions() == 0 && !reads.otherReads() &&
+           threads_.size() == 1;
 }
 
 CbiTrace

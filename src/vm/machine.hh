@@ -106,10 +106,21 @@ class Machine
     void recordCbiVisits();
 
     /**
+     * Keep this run's decision path in seedRecord() (RunMemo's
+     * recorder). Call before run(). Recording draws nothing and
+     * charges nothing.
+     */
+    void recordSeedPath();
+
+    /** What this run has read from its seed so far. */
+    const SeedRecord &seedRecord() const { return rng_.record(); }
+
+    /**
      * After run(): true when the run read its seed only through CBI
-     * countdown draws (SeedStream::otherSeedReads() is 0) and ran a
-     * single thread. Several threads keep several countdowns on one
-     * stream, which replayCbi does not model, so they report false.
+     * countdown draws (seedRecord() holds no decision and no other
+     * read) and ran a single thread. Several threads keep several
+     * countdowns on one stream, which replayCbi does not model, so
+     * they report false.
      */
     bool seedInvariant() const;
 

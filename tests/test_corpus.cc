@@ -266,6 +266,21 @@ TEST(Registry, IdsAreUnique)
         EXPECT_TRUE(ids.insert(bug.id).second) << bug.id;
 }
 
+TEST(Registry, EveryEntryIsBuiltByItsId)
+{
+    std::vector<BugSpec> bugs = corpus::allBugs();
+    for (std::vector<BugSpec> group :
+         {corpus::kernelBugs(), corpus::microBugs()}) {
+        for (BugSpec &bug : group)
+            bugs.push_back(std::move(bug));
+    }
+    EXPECT_EQ(bugs.size(), 45u);
+    for (const BugSpec &bug : bugs)
+        EXPECT_EQ(corpus::bugById(bug.id).id, bug.id);
+    EXPECT_EQ(corpus::bugById("kirq-noise-quiet").id,
+              "kirq-noise-quiet");
+}
+
 TEST(Registry, UnknownIdIsFatal)
 {
     EXPECT_THROW(corpus::bugById("no-such-bug"), FatalError);

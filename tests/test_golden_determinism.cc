@@ -556,4 +556,125 @@ TEST(GoldenDeterminism, RepeatedCampaignsMatchOverTheFullCorpus)
     }
 }
 
+namespace
+{
+
+/** What one campaign decided, in the order the rows below list it. */
+struct CampaignSummary
+{
+    std::uint64_t failureAttempts = 0;
+    std::uint64_t failureRunsUsed = 0;
+    std::uint64_t successAttempts = 0;
+    std::uint64_t successRunsUsed = 0;
+    LogSiteId site = 0;
+    /** FNV-1a over every ranked event's identity and tallies. */
+    std::uint64_t ranking = 0;
+};
+
+CampaignSummary
+summarize(const AutoDiagResult &r)
+{
+    Fnv1a f;
+    f.u64(r.ranking.size());
+    for (const RankedEvent &e : r.ranking) {
+        f.byte(static_cast<std::uint8_t>(e.event.type));
+        f.u64(e.event.a);
+        f.u64(e.event.b);
+        f.byte(e.absence ? 1 : 0);
+        f.u64(e.failureRuns);
+        f.u64(e.successRuns);
+    }
+    return {r.failureAttempts, r.failureRunsUsed, r.successAttempts,
+            r.successRunsUsed, r.site, f.h};
+}
+
+/**
+ * Campaign summaries at stm_diagnose's defaults, captured before
+ * campaigns shared runs along seeded decision paths (exec/run_memo.hh).
+ * Keys are bug ids: the 31 corpus bugs and the kernel pack.
+ */
+const std::map<std::string, CampaignSummary> kCampaignGolden = {
+    // CAMPAIGN-TABLE-BEGIN
+    {"apache1", {10, 10, 10, 10, 4, 0x9f9fbae6e58c85e0ULL}},
+    {"apache2", {10, 10, 10, 10, 2, 0xa8f21ff78054605bULL}},
+    {"apache3", {10, 10, 10, 10, 2, 0x427da527336d0f67ULL}},
+    {"cp", {10, 10, 10, 10, 3, 0xe8f656fcab19292cULL}},
+    {"cppcheck1", {10, 10, 10, 10, kSegfaultSite, 0xc44218235bce4a2bULL}},
+    {"cppcheck2", {10, 10, 10, 10, kSegfaultSite, 0x7bcc3e6b8fbcb6baULL}},
+    {"cppcheck3", {10, 10, 10, 10, kSegfaultSite, 0x8c6f9c892ca08983ULL}},
+    {"lighttpd", {10, 10, 10, 10, 3, 0xc57207b35159c010ULL}},
+    {"ln", {10, 10, 10, 10, 5, 0xd1a6b14a2f6cd582ULL}},
+    {"mv", {10, 10, 10, 10, 3, 0x4cb3514447b1ea6dULL}},
+    {"paste", {10, 10, 10, 10, kSegfaultSite, 0x4fde36aa0dc89bc6ULL}},
+    {"pbzip1", {10, 10, 10, 10, 2, 0x479bab500c6aa2a4ULL}},
+    {"pbzip2", {10, 10, 10, 10, kSegfaultSite, 0x7bcc3e6b8fbcb6baULL}},
+    {"rm", {10, 10, 10, 10, 4, 0x413e1825507b5daaULL}},
+    {"sort", {10, 10, 10, 10, kSegfaultSite, 0xfee9442a0bf5a891ULL}},
+    {"squid1", {10, 10, 10, 10, 2, 0xfaa210c18090084dULL}},
+    {"squid2", {10, 10, 10, 10, kSegfaultSite, 0x341c9cd055e662f3ULL}},
+    {"tac", {10, 10, 10, 10, kSegfaultSite, 0x4532d02d97f2230bULL}},
+    {"tar1", {10, 10, 10, 10, 2, 0x96bceb5be01a989dULL}},
+    {"tar2", {10, 10, 10, 10, 2, 0x8c586daebeceff48ULL}},
+    {"apache4", {74, 10, 10, 10, kSegfaultSite, 0x9f17867b4ff98b27ULL}},
+    {"apache5", {149, 0, 0, 0, kSegfaultSite, 0x47fe0d7eaf8e51e3ULL}},
+    {"cherokee", {153, 0, 0, 0, kSegfaultSite, 0x47fe0d7eaf8e51e3ULL}},
+    {"fft", {15, 10, 11, 10, 0, 0xda7bb3e499e33669ULL}},
+    {"lu", {15, 10, 11, 10, 0, 0xda7bb3e499e33669ULL}},
+    {"mozilla-js1", {1690, 10, 10, 10, kSegfaultSite, 0x84c7765fd9e7be2fULL}},
+    {"mozilla-js2", {89, 0, 0, 0, kSegfaultSite, 0x47fe0d7eaf8e51e3ULL}},
+    {"mozilla-js3", {13, 10, 10, 10, 0, 0x449e4049262476f7ULL}},
+    {"mysql1", {63, 10, 50000, 0, kSegfaultSite, 0x47fe0d7eaf8e51e3ULL}},
+    {"mysql2", {31, 10, 10, 10, 0, 0x8e51da81e41e39c3ULL}},
+    {"pbzip3", {142, 10, 10, 10, kSegfaultSite, 0xe07f5a1970b0247aULL}},
+    {"kirq-race", {10, 10, 10, 10, 1, 0x699e8aca001fa782ULL}},
+    {"kirq-noise", {10, 10, 10, 10, 1, 0x357aaaafcccf4bbcULL}},
+    {"kirq-atomic", {10, 10, 11, 10, 1, 0x3e3fdadbb3ce0139ULL}},
+    {"kirq-storm", {10, 10, 10, 10, kSegfaultSite, 0xa52fa9ef51a2d35fULL}},
+    {"kpanic", {10, 10, 10, 10, 1, 0xec6fb64663a3c371ULL}},
+    {"ksys-check", {10, 10, 10, 10, 2, 0xe791a9be5a8f5db9ULL}},
+    {"ksys-uar", {17, 10, 10, 10, kSegfaultSite, 0x244f8c8f62ef4913ULL}},
+    {"ksysret-leak", {10, 10, 10, 10, 1, 0xa816547381980a18ULL}},
+    // CAMPAIGN-TABLE-END
+};
+
+} // namespace
+
+/**
+ * Every LBRA/LCRA campaign decides what it decided before runs were
+ * shared: the same attempts, the same profiles used, the same site
+ * and the same ranking. STM_GOLDEN_DUMP=1 prints the rows instead.
+ */
+TEST(GoldenDeterminism, CampaignSummariesMatchTheirGoldens)
+{
+    bool dump = std::getenv("STM_GOLDEN_DUMP") != nullptr;
+    std::vector<BugSpec> bugs = corpus::allBugs();
+    for (BugSpec &bug : corpus::kernelBugs())
+        bugs.push_back(std::move(bug));
+    for (const BugSpec &bug : bugs) {
+        CampaignSummary got = summarize(runCampaign(bug));
+        if (dump) {
+            printf("    {\"%s\", {%llu, %llu, %llu, %llu, %llu, "
+                   "0x%016llxULL}},\n",
+                   bug.id.c_str(),
+                   static_cast<unsigned long long>(got.failureAttempts),
+                   static_cast<unsigned long long>(got.failureRunsUsed),
+                   static_cast<unsigned long long>(got.successAttempts),
+                   static_cast<unsigned long long>(got.successRunsUsed),
+                   static_cast<unsigned long long>(got.site),
+                   static_cast<unsigned long long>(got.ranking));
+            continue;
+        }
+        auto it = kCampaignGolden.find(bug.id);
+        ASSERT_NE(it, kCampaignGolden.end())
+            << "no campaign golden for " << bug.id;
+        const CampaignSummary &want = it->second;
+        EXPECT_EQ(got.failureAttempts, want.failureAttempts) << bug.id;
+        EXPECT_EQ(got.failureRunsUsed, want.failureRunsUsed) << bug.id;
+        EXPECT_EQ(got.successAttempts, want.successAttempts) << bug.id;
+        EXPECT_EQ(got.successRunsUsed, want.successRunsUsed) << bug.id;
+        EXPECT_EQ(got.site, want.site) << bug.id;
+        EXPECT_EQ(got.ranking, want.ranking) << bug.id;
+    }
+}
+
 } // namespace stm
