@@ -44,12 +44,19 @@ struct Workload
     std::function<bool(const RunResult &)> isFailure =
         [](const RunResult &r) { return r.failStop(); };
 
+    /** The i-th run's seed, derived from the base's. */
+    std::uint64_t
+    seedFor(std::uint64_t i) const
+    {
+        return base.sched.seed + 7919 * i;
+    }
+
     /** Options for the i-th run: the base with a derived seed. */
     MachineOptions
     forRun(std::uint64_t i) const
     {
         MachineOptions opts = base;
-        opts.sched.seed = base.sched.seed + 7919 * i;
+        opts.sched.seed = seedFor(i);
         return opts;
     }
 };
