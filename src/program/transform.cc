@@ -23,6 +23,21 @@ addUnique(std::vector<Hook> &hooks, const Hook &hook)
     hooks.push_back(hook);
 }
 
+/**
+ * The longest mean sampling period: countdowns drawn for a longer one
+ * overflow CbiCountdown's 32-bit counter.
+ */
+constexpr double kMaxMeanPeriod = 1e8;
+
+void
+checkMeanPeriod(const char *scheme, double mean_period)
+{
+    // Written so that NaN fails too.
+    if (!(mean_period > 0.0 && mean_period <= kMaxMeanPeriod))
+        fatal("{} mean sampling period {} is not in (0, 1e8]", scheme,
+              mean_period);
+}
+
 void
 profileAtFailureSites(const Program &prog, Instrumentation &out,
                       HookAction action)
@@ -152,6 +167,7 @@ applySuccessSites(const Program &prog, Instrumentation &out,
 void
 applyCbi(const Program &prog, Instrumentation &out, double mean_period)
 {
+    checkMeanPeriod("CBI", mean_period);
     out.cbiEnabled = true;
     out.cbiMeanPeriod = mean_period;
     for (std::uint32_t i = 0; i < prog.code.size(); ++i) {
@@ -168,6 +184,7 @@ applyCbi(const Program &prog, Instrumentation &out, double mean_period)
 void
 applyCci(Instrumentation &out, double mean_period)
 {
+    checkMeanPeriod("CCI", mean_period);
     out.cciEnabled = true;
     out.cciMeanPeriod = mean_period;
 }

@@ -105,14 +105,16 @@ void applySuccessSites(const Program &prog, Instrumentation &out,
  * Attach the CBI baseline's sampling instrumentation: a countdown
  * check before every source-level conditional branch, sampling branch
  * predicates with mean period @p mean_period (1/100 by default in the
- * paper).
+ * paper). fatal() unless @p mean_period is in (0, 1e8]: NaN, infinite
+ * and longer periods have no 32-bit countdown.
  */
 void applyCbi(const Program &prog, Instrumentation &out,
               double mean_period = 100.0);
 
 /**
  * Attach the CCI baseline's heavyweight software sampling of
- * interleaving predicates at memory accesses.
+ * interleaving predicates at memory accesses. @p mean_period is
+ * checked as applyCbi checks it.
  */
 void applyCci(Instrumentation &out, double mean_period = 100.0);
 

@@ -431,6 +431,7 @@ Machine::run()
 
     if (!ended_)
         endRun(RunOutcome::Completed, 0, 0, 0, "");
+    cbiTally_.foldInto(result_);
     // Interpreter steps count as user instructions — minus the ones
     // retired at CPL0 inside sysenter stubs, which are kernel work.
     // Charged here in one shot rather than per step (chargeUser adds
@@ -967,20 +968,28 @@ Machine::cbiReading(const Thread &t) const
     return taken == br.outcomeWhenTaken ? 1 : 0;
 }
 
-namespace
-{
-
-/** Count one sampled CBI visit into @p run. */
 void
-recordCbiSample(RunResult &run, const CbiVisit &visit)
+CbiTally::foldInto(RunResult &run)
 {
-    if (visit.reading == CbiVisit::kNotABranch)
-        return;
-    ++run.cbiSiteSamples[visit.site];
-    ++run.cbiCounts[CbiPredicate{visit.site, visit.reading != 0}];
+    // Ascending keys: each insert lands at the end hint.
+    for (SourceBranchId site = 0; site < counts_.size(); ++site) {
+        const auto &[falses, trues] = counts_[site];
+        if (falses == 0 && trues == 0)
+            continue;
+        run.cbiSiteSamples.emplace_hint(run.cbiSiteSamples.end(), site, 0)
+            ->second += falses + trues;
+        for (bool outcome : {false, true}) {
+            std::uint32_t n = counts_[site][outcome];
+            if (n != 0) {
+                run.cbiCounts
+                    .emplace_hint(run.cbiCounts.end(),
+                                  CbiPredicate{site, outcome}, 0)
+                    ->second += n;
+            }
+        }
+    }
+    counts_.clear();
 }
-
-} // namespace
 
 void
 Machine::cbiSample(Thread &t, const Hook &hook)
@@ -992,7 +1001,7 @@ Machine::cbiSample(Thread &t, const Hook &hook)
     if (t.cbiCountdown.visit(rng_.cbiStream(), instr_->cbiMeanPeriod)) {
         // Slow path: evaluate and record the branch predicate.
         cost += CbiCountdown::kSampleCost;
-        recordCbiSample(result_, CbiVisit{hook.site, cbiReading(t)});
+        cbiTally_.add(CbiVisit{hook.site, cbiReading(t)});
     }
     chargeInstrumentation(cost);
     cbiCharged_ += cost;
@@ -1043,15 +1052,17 @@ replayCbi(const CbiTrace &trace, std::uint64_t seed)
     RunResult run = trace.base;
     SeedStream rng(seed);
     CbiCountdown countdown;
+    CbiTally tally;
     const std::uint64_t visits = trace.visits.size();
     std::uint64_t samples = 0;
     for (std::uint64_t next = 0; visits > 0; ++next) {
         next += countdown.skipToSample(rng.cbiStream(), trace.meanPeriod);
         if (next >= visits)
             break;
-        recordCbiSample(run, trace.visits[next]);
+        tally.add(trace.visits[next]);
         ++samples;
     }
+    tally.foldInto(run);
     run.stats.instrumentationInstructions +=
         visits * CbiCountdown::kVisitCost +
         samples * CbiCountdown::kSampleCost;

@@ -19,6 +19,7 @@
 #ifndef STM_VM_MACHINE_HH
 #define STM_VM_MACHINE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -48,6 +49,34 @@ struct CbiVisit
     SourceBranchId site = 0;
     /** Predicate outcome (0 or 1), or kNotABranch. */
     std::uint8_t reading = 0;
+};
+
+/**
+ * One run's sampled CBI predicates, shared by Machine::cbiSample and
+ * replayCbi: a flat buffer of (false count, true count) indexed by
+ * site (sites number a program's branches from 0), added to the
+ * RunResult's maps once, when the run ends.
+ */
+class CbiTally
+{
+  public:
+    /** Count one sampled visit; a kNotABranch reading counts nothing. */
+    void
+    add(const CbiVisit &visit)
+    {
+        if (visit.reading == CbiVisit::kNotABranch)
+            return;
+        if (visit.site >= counts_.size())
+            counts_.resize(visit.site + 1);
+        ++counts_[visit.site][visit.reading];
+    }
+
+    /** Add the counts to @p run's cbiSiteSamples and cbiCounts. */
+    void foldInto(RunResult &run);
+
+  private:
+    /** Per site: samples that read false, true. */
+    std::vector<std::array<std::uint32_t, 2>> counts_;
 };
 
 /**
@@ -350,6 +379,8 @@ class Machine
     RunResult result_;
     bool ended_ = false;
     std::uint64_t steps_ = 0;
+    /** This run's CBI samples, folded into result_ by run(). */
+    CbiTally cbiTally_;
 };
 
 } // namespace stm

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -338,6 +340,100 @@ TEST(Pcg32, GeometricAtLeastOne)
     for (int i = 0; i < 1000; ++i)
         EXPECT_GE(rng.nextGeometric(3.0), 1u);
     EXPECT_EQ(rng.nextGeometric(1.0), 1u);
+}
+
+/**
+ * The inverse-CDF countdown for raw draw @p word, spelled out as the
+ * formula GeometricTable must reproduce bit for bit.
+ */
+std::uint32_t
+referenceGeometric(std::uint32_t word, double mean)
+{
+    double u = word * (1.0 / 4294967296.0);
+    if (u >= 0.999999999)
+        u = 0.999999999;
+    double p = 1.0 / mean;
+    double steps = std::floor(std::log1p(-u) / std::log1p(-p));
+    if (steps < 0.0)
+        steps = 0.0;
+    return static_cast<std::uint32_t>(1 + static_cast<std::uint64_t>(steps));
+}
+
+TEST(Pcg32, GeometricMatchesTheInverseCdf)
+{
+    constexpr std::uint32_t kBucketWords =
+        static_cast<std::uint32_t>((1ull << 32) / GeometricTable::kBuckets);
+    for (double mean : {1.5, 2.0, 3.0, 5.0, 100.0, 1000.0, 10000.0}) {
+        SCOPED_TRACE("mean " + std::to_string(mean));
+        const GeometricTable &table = GeometricTable::forMean(mean);
+        std::uint64_t mismatches = 0;
+        auto check = [&](std::uint32_t word) {
+            if (table.countdown(word) != referenceGeometric(word, mean)) {
+                if (++mismatches <= 5)
+                    ADD_FAILURE() << "word " << word;
+            }
+        };
+        // Each bucket's two first and two last words: the ones that
+        // classify it and their neighbours.
+        for (std::uint32_t b = 0; b < GeometricTable::kBuckets; ++b) {
+            std::uint32_t first = b * kBucketWords;
+            for (std::uint32_t off :
+                 {0u, 1u, kBucketWords - 2, kBucketWords - 1})
+                check(first + off);
+        }
+        // The clamp region: u = word / 2^32 >= 0.999999999.
+        for (std::uint32_t w = 0xffffffffu - 64;; ++w) {
+            check(w);
+            if (w == 0xffffffffu)
+                break;
+        }
+        // Seeded draws, through Pcg32 as the samplers make them.
+        Pcg32 words(99);
+        Pcg32 draws(99);
+        for (int i = 0; i < (1 << 20); ++i) {
+            std::uint32_t word = words.next();
+            std::uint32_t got = draws.nextGeometric(mean);
+            if (got != referenceGeometric(word, mean) && ++mismatches <= 5)
+                ADD_FAILURE() << "draw " << i << " word " << word;
+        }
+        EXPECT_EQ(mismatches, 0u);
+    }
+    // A mean of at most 1 samples every visit and draws nothing.
+    Pcg32 a(5);
+    Pcg32 b(5);
+    EXPECT_EQ(a.nextGeometric(1.0), 1u);
+    EXPECT_EQ(a.nextGeometric(0.5), 1u);
+    EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Pcg32, GeometricTableFillIsRaceFree)
+{
+    // Eight threads draw the same sequence on a mean no other test
+    // uses, so they race to classify the same buckets; each must get
+    // the formula's sequence.
+    constexpr double kMean = 4321.5;
+    constexpr int kDraws = 1 << 16;
+    std::vector<std::uint32_t> expected;
+    Pcg32 words(2024);
+    for (int i = 0; i < kDraws; ++i)
+        expected.push_back(referenceGeometric(words.next(), kMean));
+    std::vector<std::vector<std::uint32_t>> got(8);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (auto &seq : got) {
+        threads.emplace_back([&go, &seq] {
+            while (!go.load())
+                std::this_thread::yield();
+            Pcg32 rng(2024);
+            for (int i = 0; i < kDraws; ++i)
+                seq.push_back(rng.nextGeometric(kMean));
+        });
+    }
+    go.store(true);
+    for (auto &t : threads)
+        t.join();
+    for (const auto &seq : got)
+        EXPECT_EQ(seq, expected);
 }
 
 // ---- stats ------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "program/builder.hh"
@@ -242,6 +243,27 @@ TEST(Transform, CbiInstrumentsEverySourceConditional)
     }
     EXPECT_EQ(cbiHooks,
               static_cast<int>(gp.prog->branches.size()));
+}
+
+TEST(Transform, SamplingRejectsAMeanPeriodWithNoCountdown)
+{
+    GuardedProgram gp = guardedErrorProgram();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                       -inf, 0.0, -1.0, 1.0000001e8, 1e9}) {
+        Instrumentation plan;
+        EXPECT_THROW(transform::applyCbi(*gp.prog, plan, bad), FatalError)
+            << bad;
+        EXPECT_THROW(transform::applyCci(plan, bad), FatalError) << bad;
+        EXPECT_TRUE(plan.empty());
+    }
+    for (double good : {1.0, 100.0, 1e8}) {
+        Instrumentation plan;
+        EXPECT_NO_THROW(transform::applyCbi(*gp.prog, plan, good)) << good;
+        EXPECT_NO_THROW(transform::applyCci(plan, good)) << good;
+        EXPECT_EQ(plan.cbiMeanPeriod, good);
+        EXPECT_EQ(plan.cciMeanPeriod, good);
+    }
 }
 
 TEST(Transform, HooksAreIdempotent)
